@@ -149,8 +149,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if verdict.accepted:
             print("ACCEPT")
             return 0
-        leaves = sorted(names[t.vertex[x]]
-                        for x in ct._leaves_of(t, verdict.node))
+        leaves = sorted(names[v]
+                        for v in gr.bits(t.leaf_masks()[verdict.node]))
         s1, s2 = (sorted(s) for s in verdict.sets)
         print(f"{verdict.axiom} violation at node over "
               f"{{{','.join(leaves)}}}: color sets {s1} vs {s2}")

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, bits, components_bits, co_components_bits
-from .cotree import (Cotree, NotACographError, _find_p4_in, is_binary,
-                     realizes)
+from .graph import Graph, bits
+from .cotree import (Cotree, NotACographError, P4Witness, build_cotree,
+                     is_binary, realizes)
 
 Coloring = dict[int, int]
 
@@ -31,10 +31,6 @@ class Verdict:
         return self.accepted
 
 
-def color_set(c: Coloring) -> frozenset[int]:
-    return frozenset(c.values())
-
-
 def _check_domain(g: Graph, c: Coloring) -> None:
     if set(c) != set(range(g.n)):
         raise ValueError("coloring-domain-mismatch")
@@ -42,9 +38,35 @@ def _check_domain(g: Graph, c: Coloring) -> None:
         raise ValueError("colors must be positive integers")
 
 
-def is_proper(g: Graph, c: Coloring) -> bool:
+def _color_bits(c: Coloring) -> tuple[list[int], list[int]]:
+    """Per vertex, its color as a one-bit mask over the sorted distinct
+    colors, and that palette for reading masks back as colors. Masks stay
+    at most n bits wide whatever the color values."""
+    palette = sorted(set(c.values()))
+    bit = {col: 1 << i for i, col in enumerate(palette)}
+    return [bit[c[v]] for v in range(len(c))], palette
+
+
+def _colors(mask: int, palette: list[int]) -> frozenset[int]:
+    return frozenset(palette[i] for i in bits(mask))
+
+
+def _classes(g: Graph, c: Coloring) -> tuple[dict[int, int], dict[int, int]]:
+    """Per color, the vertex bitset of its class and of the class's
+    neighbors."""
     _check_domain(g, c)
-    return all(c[u] != c[v] for u, v in g.edges())
+    cls: dict[int, int] = {}
+    nbr: dict[int, int] = {}
+    for v, col in c.items():
+        cls[col] = cls.get(col, 0) | 1 << v
+        nbr[col] = nbr.get(col, 0) | g.adj[v]
+    return cls, nbr
+
+
+def is_proper(g: Graph, c: Coloring) -> bool:
+    """True iff no color class meets its own neighbor set."""
+    cls, nbr = _classes(g, c)
+    return not any(cls[k] & nbr[k] for k in cls)
 
 
 def greedy_coloring(g: Graph, order: Sequence[int]) -> Coloring:
@@ -68,21 +90,19 @@ def is_greedy(g: Graph, c: Coloring) -> bool:
     """Decide whether some vertex order produces c.
 
     Witness condition: the colors form {1..k} and every vertex with color j
-    has a neighbor of every color 1..j-1.
+    has a neighbor of every color 1..j-1; that is, for each color j, every
+    vertex colored above j lies in the neighbor set of class j.
     """
-    _check_domain(g, c)
-    if not is_proper(g, c):
+    cls, nbr = _classes(g, c)
+    if any(cls[k] & nbr[k] for k in cls):
         raise ValueError("not-proper")
-    colors = set(c.values())
-    if colors != set(range(1, len(colors) + 1)):
+    if set(cls) != set(range(1, len(cls) + 1)):
         return False
-    for v in range(g.n):
-        want = (1 << c[v]) - 2  # bits 1..c[v]-1
-        seen = 0
-        for u in bits(g.adj[v]):
-            seen |= 1 << c[u]
-        if seen & want != want:
+    above = 0
+    for j in range(len(cls), 0, -1):
+        if above & ~nbr[j]:
             return False
+        above |= cls[j]
     return True
 
 
@@ -145,40 +165,37 @@ def verify_hc(g: Graph, t: Cotree, c: Coloring,
 def is_hc_coloring(g: Graph, c: Coloring) -> Verdict:
     """Decide whether c is an hc-coloring w.r.t. some binary cotree.
 
-    Top-down: at a connected level the join split always satisfies K2 when
-    the complement-component color sets are pairwise disjoint (equivalently,
-    when c is proper there); at a disconnected level some component color
-    set must contain all the others.
+    One bottom-up pass over the discriminating cotree with color bitmasks.
+    A join needs pairwise disjoint child color sets: then every binary
+    refinement of it satisfies K2. A union needs one child whose color set
+    equals the union of all of them: refining it with that child last
+    satisfies K3. The first failing node in postorder is reported.
     """
     _check_domain(g, c)
-    if g.n == 0:
-        raise ValueError("empty-graph")
-    adj = g.adj
-    full = (1 << g.n) - 1
-    work = [full]
-    while work:
-        sub = work.pop()
-        if sub & (sub - 1) == 0:
+    t = build_cotree(g)
+    if isinstance(t, P4Witness):
+        raise NotACographError(t)
+    bit, palette = _color_bits(c)
+    masks = [0] * t.n_nodes()
+    for u in range(t.n_nodes()):  # build_cotree numbers nodes in postorder
+        if t.is_leaf(u):
+            masks[u] = bit[t.vertex[u]]
             continue
-        parts = components_bits(adj, sub)
-        if len(parts) == 1:
-            parts = co_components_bits(adj, sub)
-            if len(parts) == 1:
-                raise NotACographError(_find_p4_in(adj, sub))
-            sets = [frozenset(c[v] for v in bits(p)) for p in parts]
-            union: set[int] = set()
-            for i, s in enumerate(sets):
-                if union & s:
-                    j = next(k for k in range(i) if sets[k] & s)
-                    return Verdict(False, axiom="K2", sets=(sets[j], s))
-                union |= s
-        else:
-            sets = [frozenset(c[v] for v in bits(p)) for p in parts]
-            big = max(range(len(sets)), key=lambda i: len(sets[i]))
-            for i, s in enumerate(sets):
-                if not s <= sets[big]:
-                    return Verdict(False, axiom="K3", sets=(s, sets[big]))
-        work.extend(parts)
+        kids = [masks[k] for k in t.children[u]]
+        union = 0
+        for i, m in enumerate(kids):
+            if t.label[u] == 1 and union & m:
+                j = next(j for j in range(i) if kids[j] & m)
+                return Verdict(False, axiom="K2", sets=(
+                    _colors(kids[j], palette), _colors(m, palette)))
+            union |= m
+        if t.label[u] == 0:
+            big = max(kids, key=int.bit_count)
+            if big != union:
+                m = next(m for m in kids if m & ~big)
+                return Verdict(False, axiom="K3", sets=(
+                    _colors(m, palette), _colors(big, palette)))
+        masks[u] = union
     return Verdict(True)
 
 

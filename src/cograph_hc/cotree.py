@@ -13,6 +13,7 @@ interpreter recursion limit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -50,22 +51,23 @@ class Cotree:
     """Arena-based rooted cotree.
 
     Node ids index the parallel arrays; `label[i]` is 0, 1 or LEAF,
-    `vertex[i]` is the graph vertex id of a leaf (-1 for inner nodes).
-    `names`, when present, maps vertex ids to display names.
+    `children[i]` is a tuple of node ids (`()` for a leaf), `vertex[i]` is
+    the graph vertex id of a leaf (-1 for inner nodes). `names`, when
+    present, maps vertex ids to display names.
     """
 
     __slots__ = ("label", "children", "vertex", "root", "names")
 
     def __init__(self, names: tuple[str, ...] | None = None):
         self.label: list[int] = []
-        self.children: list[list[int]] = []
+        self.children: list[tuple[int, ...]] = []
         self.vertex: list[int] = []
         self.root = -1
         self.names = names
 
     def add_leaf(self, v: int) -> int:
         self.label.append(LEAF)
-        self.children.append([])
+        self.children.append(())
         self.vertex.append(v)
         return len(self.label) - 1
 
@@ -75,7 +77,7 @@ class Cotree:
         if len(kids) < 2:
             raise ValueError("inner node needs at least 2 children")
         self.label.append(label)
-        self.children.append(list(kids))
+        self.children.append(tuple(kids))
         self.vertex.append(-1)
         return len(self.label) - 1
 
@@ -137,13 +139,16 @@ class Cotree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cotree):
             return NotImplemented
-        return _signature(self, self.root) == _signature(other, other.root)
+        return _signature(self) == _signature(other)
 
     def __hash__(self) -> int:
-        return hash(_signature(self, self.root))
+        return hash(_signature(self))
 
     def __repr__(self) -> str:
-        return f"Cotree({newick_write(self)!r})"
+        try:
+            return f"Cotree({newick_write(self)!r})"
+        except ValueError:  # a vertex name that Newick cannot hold
+            return f"Cotree(<{self.n_nodes()} nodes>)"
 
 
 BinaryCotree = Cotree
@@ -154,15 +159,12 @@ def is_binary(t: Cotree) -> bool:
                for l, c in zip(t.label, t.children))
 
 
-def _signature(t: Cotree, root: int) -> tuple:
-    """Structural signature (label, children...) used for equality."""
-    sig: dict[int, tuple] = {}
-    for u in t.postorder():
-        if t.is_leaf(u):
-            sig[u] = ("leaf", t.vertex[u])
-        else:
-            sig[u] = (t.label[u],) + tuple(sig[c] for c in t.children[u])
-    return sig[root]
+def _signature(t: Cotree) -> tuple:
+    """Structural signature used for equality: (label, vertex, arity) in
+    postorder, which fixes the tree with its child order. It is flat, so
+    deep trees compare without recursion."""
+    return tuple((t.label[u], t.vertex[u], len(t.children[u]))
+                 for u in t.postorder())
 
 
 # -- recognition -----------------------------------------------------------
@@ -229,44 +231,35 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
 
 
 def realized_graph(t: Cotree) -> Graph:
-    """Evaluate unions/joins bottom-up to recover the cograph."""
+    """Recover the cograph in one top-down pass over the leaf masks.
+
+    A vertex's neighbor set is the OR, over its join ancestors u, of the
+    leaves below u outside the child of u on the path to the vertex.
+    """
     n = t.n_leaves()
     seen = sorted(t.vertex[u] for u in range(t.n_nodes()) if t.is_leaf(u))
     if seen != list(range(n)):
         raise ValueError("leaf vertex ids must be a bijection onto 0..n-1")
     adj = [0] * n
     masks = t.leaf_masks()
-    for u in t.postorder():
-        if t.label[u] == 1:
-            kids = t.children[u]
-            for i, c in enumerate(kids):
-                others = 0
-                for j, c2 in enumerate(kids):
-                    if j != i:
-                        others |= masks[c2]
-                for v in bits(masks[c]):
-                    adj[v] |= others
+    stack = [(t.root, 0)]
+    while stack:
+        u, nbrs = stack.pop()
+        if t.label[u] == LEAF:
+            adj[t.vertex[u]] = nbrs
+        elif t.label[u] == 1:
+            stack.extend((c, nbrs | (masks[u] ^ masks[c]))
+                         for c in t.children[u])
+        else:
+            stack.extend((c, nbrs) for c in t.children[u])
     names = t.names
     if names is not None and len(names) != n:
         names = None
     return Graph._from_adj(n, adj, names)
 
 
-def chromatic_number(t: Cotree) -> int:
-    """Bottom-up: leaf 1, union max, join sum."""
-    chi = [0] * t.n_nodes()
-    for u in t.postorder():
-        if t.is_leaf(u):
-            chi[u] = 1
-        elif t.label[u] == 0:
-            chi[u] = max(chi[c] for c in t.children[u])
-        else:
-            chi[u] = sum(chi[c] for c in t.children[u])
-    return chi[t.root]
-
-
 def node_chromatic_numbers(t: Cotree) -> list[int]:
-    """Chromatic number of the subgraph below each node."""
+    """Chromatic number below each node: leaf 1, union max, join sum."""
     chi = [0] * t.n_nodes()
     for u in t.postorder():
         if t.is_leaf(u):
@@ -276,6 +269,10 @@ def node_chromatic_numbers(t: Cotree) -> list[int]:
         else:
             chi[u] = sum(chi[c] for c in t.children[u])
     return chi
+
+
+def chromatic_number(t: Cotree) -> int:
+    return node_chromatic_numbers(t)[t.root]
 
 
 # -- normal forms -----------------------------------------------------------
@@ -293,52 +290,24 @@ def is_discriminating(t: Cotree) -> bool:
 
 def make_discriminating(t: Cotree) -> Cotree:
     """Contract every inner edge with equal labels; canonical child order."""
+    order = t.postorder()
+    front: dict[int, list[int]] = {}  # children after contraction
+    for u in order:
+        if not t.is_leaf(u):
+            front[u] = [x for c in t.children[u] for x in
+                        (front[c] if t.label[c] == t.label[u] else [c])]
+    keep = {t.root}.union(*front.values())
+    masks = t.leaf_masks()
     out = Cotree(names=t.names)
     built: dict[int, int] = {}
-    minvert: dict[int, int] = {}
-    for u in t.postorder():
-        if t.is_leaf(u):
-            built[u] = out.add_leaf(t.vertex[u])
-            minvert[u] = t.vertex[u]
+    for u in order:
+        if u not in keep:
             continue
-        kids: list[int] = []
-        for c in t.children[u]:
-            if not t.is_leaf(c) and t.label[c] == t.label[u]:
-                kids.extend(out.children[built[c]])
-            else:
-                kids.append(built[c])
-        key = {k: (out.vertex[k] if out.label[k] == LEAF
-                   else min(out.vertex[x] for x in _leaves_of(out, k)))
-               for k in kids}
-        kids.sort(key=lambda k: key[k])
-        built[u] = out.add_inner(t.label[u], kids)
-        minvert[u] = min(key.values())
-    out.root = built[t.root]
-    return _prune_unreachable(out)
-
-
-def _leaves_of(t: Cotree, u: int) -> list[int]:
-    out = []
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        if t.is_leaf(x):
-            out.append(x)
-        else:
-            stack.extend(t.children[x])
-    return out
-
-
-def _prune_unreachable(t: Cotree) -> Cotree:
-    """Rebuild keeping only nodes reachable from the root."""
-    out = Cotree(names=t.names)
-    built: dict[int, int] = {}
-    for u in t.postorder():
         if t.is_leaf(u):
             built[u] = out.add_leaf(t.vertex[u])
         else:
-            built[u] = out.add_inner(t.label[u],
-                                     [built[c] for c in t.children[u]])
+            kids = sorted(front[u], key=lambda x: masks[x] & -masks[x])
+            built[u] = out.add_inner(t.label[u], [built[x] for x in kids])
     out.root = built[t.root]
     return out
 
@@ -399,15 +368,23 @@ def realizes(t: Cotree, g: Graph) -> bool:
 
 # -- Newick serialization ----------------------------------------------------
 
-_RESERVED = set("(),;")
+# a leaf name or node label: no whitespace and none of the reserved "(),;"
+_NAME = re.compile(r"[^(),;\s]+")
+_SPACE = re.compile(r"\s*")
 
 
 def newick_write(t: Cotree) -> str:
+    """Newick text of t; a vertex name that would not read back (empty, or
+    holding whitespace or one of "(),;") raises ValueError."""
     names = t.vertex_names()
     text: dict[int, str] = {}
     for u in t.postorder():
         if t.is_leaf(u):
-            text[u] = names[t.vertex[u]]
+            name = names[t.vertex[u]]
+            if not _NAME.fullmatch(name):
+                raise ValueError(f"vertex name {name!r} cannot be written "
+                                 "to Newick")
+            text[u] = name
         else:
             inner = ",".join(text[c] for c in t.children[u])
             text[u] = f"({inner}){t.label[u]}"
@@ -415,67 +392,66 @@ def newick_write(t: Cotree) -> str:
 
 
 def newick_read(s: str) -> Cotree:
-    """Parse a cotree; leaf ids are assigned in order of appearance."""
+    """Parse a cotree; leaf ids are assigned in order of appearance.
+
+    Iterative, so the nesting depth is not bounded by the recursion limit.
+    """
     t = Cotree()
     pos = 0
     n = len(s)
     leaf_names: list[str] = []
+    seen: set[str] = set()
+    open_kids: list[list[int]] = []  # children so far of each open "("
 
     def error(msg: str) -> NewickError:
         return NewickError(msg, pos)
 
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and s[pos].isspace():
-            pos += 1
-
-    def parse_name() -> str:
-        nonlocal pos
-        start = pos
-        while pos < n and s[pos] not in _RESERVED and not s[pos].isspace():
-            pos += 1
-        if pos == start:
-            raise error("parse-error: expected leaf name")
-        return s[start:pos]
-
-    def parse_subtree() -> int:
-        nonlocal pos
-        skip_ws()
+    while True:
+        pos = _SPACE.match(s, pos).end()
         if pos >= n:
             raise error("parse-error: unexpected end of input")
-        if s[pos] != "(":
-            name = parse_name()
-            if name in leaf_names:
-                raise error(f"parse-error: duplicate leaf name {name!r}")
-            leaf_names.append(name)
-            return t.add_leaf(len(leaf_names) - 1)
-        pos += 1
-        kids = [parse_subtree()]
-        skip_ws()
-        while pos < n and s[pos] == ",":
+        if s[pos] == "(":
             pos += 1
-            kids.append(parse_subtree())
-            skip_ws()
-        if pos >= n or s[pos] != ")":
-            raise error("parse-error: expected ',' or ')'")
-        pos += 1
-        if len(kids) < 2:
-            raise error("parse-error: inner node needs at least 2 children")
-        if pos >= n or s[pos] in _RESERVED or s[pos].isspace():
-            raise error("bad-label")
-        label_txt = parse_name()
-        if label_txt not in ("0", "1"):
-            raise error("bad-label")
-        return t.add_inner(int(label_txt), kids)
-
-    root = parse_subtree()
-    skip_ws()
+            open_kids.append([])
+            continue
+        m = _NAME.match(s, pos)
+        if m is None:
+            raise error("parse-error: expected leaf name")
+        pos = m.end()
+        name = m.group()
+        if name in seen:
+            raise error(f"parse-error: duplicate leaf name {name!r}")
+        seen.add(name)
+        leaf_names.append(name)
+        node = t.add_leaf(len(leaf_names) - 1)
+        # close every inner node that ends after this subtree
+        while open_kids:
+            open_kids[-1].append(node)
+            pos = _SPACE.match(s, pos).end()
+            if pos < n and s[pos] == ",":
+                pos += 1
+                break
+            if pos >= n or s[pos] != ")":
+                raise error("parse-error: expected ',' or ')'")
+            pos += 1
+            kids = open_kids.pop()
+            if len(kids) < 2:
+                raise error("parse-error: inner node needs at least 2 children")
+            m = _NAME.match(s, pos)
+            if m is None:
+                raise error("bad-label")
+            pos = m.end()
+            if m.group() not in ("0", "1"):
+                raise error("bad-label")
+            node = t.add_inner(int(m.group()), kids)
+        if not open_kids:
+            break
+    pos = _SPACE.match(s, pos).end()
     if pos >= n or s[pos] != ";":
         raise error("parse-error: expected ';'")
-    pos += 1
-    skip_ws()
+    pos = _SPACE.match(s, pos + 1).end()
     if pos != n:
         raise error("parse-error: trailing input")
-    t.root = root
+    t.root = node
     t.names = tuple(leaf_names)
     return t

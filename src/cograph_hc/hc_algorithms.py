@@ -19,11 +19,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .graph import Graph, bits, components_bits
+from .graph import Graph
 from .cotree import (Cotree, P4Witness, NotACographError, build_cotree,
-                     is_binary, newick_write, node_chromatic_numbers,
-                     realizes)
-from .coloring import Coloring
+                     is_binary, node_chromatic_numbers, realizes)
+from .coloring import Coloring, _color_bits, _colors
 
 
 class NotHcColoringError(ValueError):
@@ -129,58 +128,49 @@ def alg2_color(g: Graph, t: Cotree,
 def reconstruct_cotree(g: Graph, c: Coloring) -> Cotree:
     """Recover a binary cotree witnessing that c is an hc-coloring.
 
-    Top-down: connected levels split off the complement component holding
-    the smallest vertex id; disconnected levels split off a component with
-    the fewest colors, whose color set must be contained in the rest's.
+    One bottom-up pass refines the discriminating cotree of g, with color
+    bitmasks: a join becomes a right comb in child order, a union a right
+    comb in stable ascending order of child color-set size, so the set
+    that must contain the others comes last. At each comb node the first
+    child's color set must be disjoint from (join) or contained in (union)
+    the rest's; otherwise NotHcColoringError carries both sets, for the
+    first failing comb node in preorder.
     """
     if set(c) != set(range(g.n)):
         raise ValueError("coloring-domain-mismatch")
-    if g.n == 0:
-        raise ValueError("empty-graph")
-    from .graph import co_components_bits  # local to mirror build_cotree
-    from .cotree import _find_p4_in
-
-    t = Cotree(names=g.names)
-    adj = g.adj
-    full = (1 << g.n) - 1
-
-    def cset(mask: int) -> frozenset[int]:
-        return frozenset(c[v] for v in bits(mask))
-
-    out: list[int] = []
-    work: list[tuple[str, object]] = [("enter", full)]
-    while work:
-        tag, arg = work.pop()
-        if tag == "exit":
-            out.append(t.add_inner(arg, [out.pop(-2), out.pop()]))  # type: ignore[arg-type]
+    t = build_cotree(g)
+    if isinstance(t, P4Witness):
+        raise NotACographError(t)
+    bit, palette = _color_bits(c)
+    out = Cotree(names=g.names)
+    n_nodes = t.n_nodes()
+    built = [0] * n_nodes
+    masks = [0] * n_nodes
+    # per node, the first failing comb node in preorder below it
+    fail: list[tuple[int, int] | None] = [None] * n_nodes
+    for u in range(n_nodes):  # build_cotree numbers nodes in postorder
+        if t.is_leaf(u):
+            built[u] = out.add_leaf(t.vertex[u])
+            masks[u] = bit[t.vertex[u]]
             continue
-        sub: int = arg  # type: ignore[assignment]
-        if sub & (sub - 1) == 0:
-            out.append(t.add_leaf(sub.bit_length() - 1))
-            continue
-        parts = components_bits(adj, sub)
-        if len(parts) == 1:
-            cocs = co_components_bits(adj, sub)
-            if len(cocs) == 1:
-                raise NotACographError(_find_p4_in(adj, sub))
-            first = cocs[0]
-            rest = sub & ~first
-            if cset(first) & cset(rest):
-                raise NotHcColoringError((cset(first), cset(rest)))
-            label = 1
-        else:
-            sets = [cset(p) for p in parts]
-            i = min(range(len(parts)), key=lambda k: len(sets[k]))
-            first = parts[i]
-            rest = sub & ~first
-            if not sets[i] <= cset(rest):
-                raise NotHcColoringError((sets[i], cset(rest)))
-            label = 0
-        work.append(("exit", label))
-        work.append(("enter", rest))
-        work.append(("enter", first))
-    t.root = out[0]
-    return t
+        label = t.label[u]
+        kids = t.children[u]
+        if label == 0:
+            kids = sorted(kids, key=lambda k: masks[k].bit_count())
+        acc, rest, first = built[kids[-1]], masks[kids[-1]], fail[kids[-1]]
+        for k in reversed(kids[:-1]):  # comb nodes from the bottom up
+            m = masks[k]
+            first = fail[k] or first
+            if (m & rest) if label == 1 else (m & ~rest):
+                first = (m, rest)
+            acc = out.add_inner(label, [built[k], acc])
+            rest |= m
+        built[u], masks[u], fail[u] = acc, rest, first
+    if fail[t.root]:
+        m, rest = fail[t.root]
+        raise NotHcColoringError((_colors(m, palette), _colors(rest, palette)))
+    out.root = built[t.root]
+    return out
 
 
 # -- counting -------------------------------------------------------------------
@@ -205,14 +195,25 @@ class CountReport:
     labeled_total: int
 
     def render(self) -> str:
-        lines = [f"node {nc.path} N {nc.partitions} s {nc.colors}"
+        lines = [f"node {nc.path} N {_decimal(nc.partitions)} s {nc.colors}"
                  for nc in self.per_node]
-        lines.append(f"labeled_total {self.labeled_total}")
+        lines.append(f"labeled_total {_decimal(self.labeled_total)}")
         return "\n".join(lines) + "\n"
 
     @property
     def root_partitions(self) -> int:
         return self.per_node[-1].partitions
+
+
+def _decimal(x: int, width: int = 0) -> str:
+    """Decimal text of x >= 0, zero-padded to `width`, by splitting at a
+    power of ten: str() alone refuses ints past the interpreter's digit
+    limit (4300 by default), and that limit is process-wide."""
+    if x.bit_length() <= 8192:  # at most 2467 digits
+        return str(x).zfill(width)
+    k = x.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(x, 10 ** k)
+    return _decimal(high, max(width - k, 0)) + _decimal(low, k)
 
 
 def _subtree_newicks(t: Cotree) -> list[str]:

@@ -49,6 +49,15 @@ def test_cotree_subcommand(files, capsys, tmp_path):
     assert "names a b c d" in txt and "0 1" in txt
 
 
+def test_cotree_rejects_names_that_cannot_read_back(files, capsys, tmp_path):
+    out = tmp_path / "t.nwk"
+    graph = files("g.txt", "n 3\nnames a,b c d\na,b c\n")
+    assert main(["cotree", graph, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: vertex name 'a,b' cannot be written to Newick\n"
+    assert not out.exists()
+
+
 def test_color_greedy_with_order(files, capsys, tmp_path):
     out = tmp_path / "c.txt"
     assert main(["color", files("g.txt", GRAPH), "--method", "greedy",

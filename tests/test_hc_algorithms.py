@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import pytest
 
-from cograph_hc import (Graph, InjectionChooser, NotACographError,
+from cograph_hc import (Cotree, Graph, InjectionChooser, NotACographError,
                         NotHcColoringError, alg1_color, alg2_color,
                         build_cotree, count_hc_total, count_hc_wrt,
                         g_injections, is_hc_coloring, is_recursively_minimal,
@@ -138,6 +139,26 @@ def test_count_report_render(k2_k1_k1):
     text = count_hc_wrt(cat).render()
     assert text.endswith("labeled_total 8\n")
     assert "node (((a,b)1,c)0,d)0 N 4 s 2" in text
+
+
+def test_count_report_renders_past_the_int_digit_limit():
+    # a balanced binary join over 1800 leaves: K_1800, labeled total 1800!
+    # (5080 digits), beyond the interpreter's default 4300-digit limit
+    t = Cotree()
+    level = [t.add_leaf(v) for v in range(1800)]
+    while len(level) > 1:
+        pairs = [t.add_inner(1, level[i:i + 2])
+                 for i in range(0, len(level) - 1, 2)]
+        level = pairs + level[len(level) - len(level) % 2:]
+    t.root = level[0]
+    text = count_hc_wrt(t).render()
+    digits = text.rsplit("labeled_total ", 1)[1].rstrip("\n")
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == math.factorial(1800)
+    assert len(digits) == 5080 and digits[0] != "0"
 
 
 def test_count_hc_total(k2_k1_k1):

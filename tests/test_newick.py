@@ -1,6 +1,7 @@
 import pytest
 
-from cograph_hc import NewickError, newick_read, newick_write
+from cograph_hc import (Cotree, Graph, NewickError, build_cotree, newick_read,
+                        newick_write)
 
 
 @pytest.mark.parametrize("text", [
@@ -45,3 +46,24 @@ def test_parse_errors_carry_offsets(text, fragment):
     assert fragment in str(exc.value)
     assert "at byte" in str(exc.value)
     assert 0 <= exc.value.offset <= len(text)
+
+
+@pytest.mark.parametrize("name", ["a,b", "a(b", "a)", "a;", "a b", "a\tb", ""])
+def test_write_rejects_names_that_cannot_read_back(name):
+    t = build_cotree(Graph(3, [(0, 1)], names=(name, "c", "d")))
+    with pytest.raises(ValueError, match="cannot be written to Newick") as exc:
+        newick_write(t)
+    assert repr(name) in str(exc.value)
+    assert repr(t) == "Cotree(<5 nodes>)"
+
+
+def test_roundtrip_depth_2000():
+    t = Cotree()
+    acc = t.add_leaf(2000)
+    for v in range(1999, -1, -1):
+        acc = t.add_inner(v % 2, [t.add_leaf(v), acc])
+    t.root = acc
+    text = newick_write(t)
+    again = newick_read(text)
+    assert again == t
+    assert newick_write(again) == text

@@ -1,0 +1,186 @@
+"""The cotree-pass verifiers at large n, against definitions written here.
+
+`is_hc_coloring`, `reconstruct_cotree`, `realized_graph`, `is_proper` and
+`is_greedy` are bottom-up or top-down passes over one cotree with bitmasks.
+These tests run them far beyond the oracle's reach (n <= 6): on a random
+cograph with 2000 vertices and on deep caterpillars, and compare the
+bitmask verifiers with per-edge definitions.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
+                        NotHcColoringError, alg1_color, build_cotree,
+                        chromatic_number, disjoint_union, greedy_coloring,
+                        is_binary, is_greedy, is_hc_coloring, is_proper, join,
+                        newick_write, random_cograph, realized_graph, realizes,
+                        reconstruct_cotree, to_binary, verify_hc)
+
+
+def caterpillar(levels, leaves_per_level=1):
+    """Cotree whose inner nodes alternate union/join down one spine; each
+    level hangs `leaves_per_level` leaves off it. Vertices are numbered
+    from the top."""
+    t = Cotree()
+    n = levels * leaves_per_level + 1
+    acc = t.add_leaf(n - 1)
+    for level in range(levels - 1, -1, -1):
+        first = level * leaves_per_level
+        kids = [t.add_leaf(v) for v in range(first, first + leaves_per_level)]
+        acc = t.add_inner(level % 2, kids + [acc])
+    t.root = acc
+    return t
+
+
+@pytest.fixture(scope="module", params=["random-2000", "caterpillar-500"])
+def instance(request):
+    if request.param == "random-2000":
+        g, _ = random_cograph(GenParams(n=2000, seed=7))
+    else:
+        g = realized_graph(caterpillar(500))
+    c, _ = alg1_color(g, InjectionChooser("seeded-random", seed=3))
+    return g, c
+
+
+def test_is_hc_coloring_accepts_alg1_output(instance):
+    g, c = instance
+    assert is_hc_coloring(g, c).accepted
+
+
+def test_chi_plus_one_colors_rejected_with_certificate(instance):
+    g, c = instance
+    chi = max(c.values())
+    assert chi == chromatic_number(build_cotree(g))
+    bad = dict(c)
+    bad[g.n // 2] = chi + 1
+    verdict = is_hc_coloring(g, bad)
+    assert not verdict.accepted
+    a, b = verdict.sets
+    if verdict.axiom == "K2":
+        assert a & b
+    else:
+        assert verdict.axiom == "K3"
+        assert not (a <= b or b <= a)
+    with pytest.raises(NotHcColoringError) as exc:
+        reconstruct_cotree(g, bad)
+    first, rest = exc.value.certificate
+    assert first & rest or not first <= rest
+
+
+def test_reconstruct_cotree_is_a_witness(instance):
+    g, c = instance
+    t = reconstruct_cotree(g, c)
+    assert is_binary(t)
+    assert realizes(t, g)
+    assert verify_hc(g, t, c).accepted
+
+
+def test_realized_graph_on_a_deep_caterpillar():
+    t = caterpillar(1000, leaves_per_level=2)
+    g = realized_graph(t)
+    assert realized_graph(to_binary(t)) == g
+    # the same graph built bottom-up with graph operations
+    ref = Graph(1)
+    for level in range(999, -1, -1):
+        ref = (join if level % 2 else disjoint_union)([Graph(1), Graph(1),
+                                                         ref])
+    assert g.adj == ref.adj
+
+
+# -- bitmask is_proper / is_greedy against per-edge definitions ----------------
+
+def proper_by_edges(g, c):
+    return all(c[u] != c[v] for u, v in g.edges())
+
+
+def greedy_by_edges(g, c):
+    k = max(c.values())
+    if set(c.values()) != set(range(1, k + 1)):
+        return False
+    seen = {v: set() for v in range(g.n)}
+    for u, v in g.edges():
+        seen[u].add(c[v])
+        seen[v].add(c[u])
+    return all(seen[v] >= set(range(1, c[v])) for v in range(g.n))
+
+
+gen_params = st.builds(
+    GenParams,
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    max_arity=st.integers(min_value=2, max_value=5),
+    balance=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+
+
+@given(gen_params, st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_is_proper_and_is_greedy_match_edge_definitions(p, seed, changes):
+    g, _ = random_cograph(p)
+    rng = random.Random(seed)
+    order = list(range(g.n))
+    rng.shuffle(order)
+    c = greedy_coloring(g, order)
+    k = max(c.values())
+    for _ in range(changes):
+        c[rng.randrange(g.n)] = rng.randint(1, k + 1)
+    proper = proper_by_edges(g, c)
+    assert is_proper(g, c) == proper
+    if proper:
+        assert is_greedy(g, c) == greedy_by_edges(g, c)
+    else:
+        with pytest.raises(ValueError, match="not-proper"):
+            is_greedy(g, c)
+
+
+def test_colors_need_not_be_small_integers():
+    g = Graph(3, [(0, 1)])
+    huge = 10**12
+    assert is_proper(g, {0: huge, 1: 1, 2: 1})
+    verdict = is_hc_coloring(g, {0: huge, 1: 1, 2: 7})
+    assert not verdict.accepted and verdict.axiom == "K3"
+    assert set(verdict.sets) == {frozenset({7}), frozenset({1, huge})}
+    with pytest.raises(NotHcColoringError) as exc:
+        reconstruct_cotree(g, {0: huge, 1: 1, 2: 7})
+    assert exc.value.certificate == ({7}, {1, huge})
+
+
+# -- reconstruct_cotree gives the trees it gave before the bitmask pass --------
+
+@pytest.mark.parametrize("edges,n,c,newick", [
+    ([(0, 1)], 4, {0: 1, 1: 2, 2: 1, 3: 1}, "(v2,(v3,(v0,v1)1)0)0;"),
+    ([(0, 1)], 4, {0: 1, 1: 2, 2: 1, 3: 2}, "(v2,(v3,(v0,v1)1)0)0;"),
+    ([(0, 1), (3, 4), (3, 5), (4, 5)], 6, {0: 1, 1: 2, 2: 2, 3: 3, 4: 1, 5: 2},
+     "(v2,((v0,v1)1,(v3,(v4,v5)1)1)0)0;"),
+    ([(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)], 5,
+     {0: 1, 1: 2, 2: 2, 3: 3, 4: 3}, "(v0,((v1,v2)0,(v3,v4)0)1)1;"),
+    ([(0, 1), (0, 2), (0, 3), (1, 2)], 5, {0: 1, 1: 2, 2: 3, 3: 2, 4: 3},
+     "(v4,(v0,(v3,(v1,v2)1)0)1)0;"),
+    ([(u, v) for u in range(7) for v in range(7, 12)]
+     + [(4, 6), (5, 6), (9, 10), (9, 11), (10, 11)], 12,
+     {0: 1, 1: 1, 2: 2, 3: 1, 4: 1, 5: 1, 6: 2, 7: 3, 8: 3, 9: 4, 10: 5,
+      11: 3},
+     "((v0,(v1,(v2,(v3,((v4,v5)0,v6)1)0)0)0)0,(v7,(v8,(v9,(v10,v11)1)1)0)0)1;"),
+])
+def test_reconstruct_cotree_pinned_trees(edges, n, c, newick):
+    assert newick_write(reconstruct_cotree(Graph(n, edges), c)) == newick
+
+
+@pytest.mark.parametrize("edges,n,c,certificate", [
+    ([], 4, {0: 2, 1: 1, 2: 2, 3: 1}, ({2}, {1})),
+    ([], 4, {0: 1, 1: 2, 2: 2, 3: 3}, ({1}, {2, 3})),
+    # the join (v0,v1) and the union's second comb node both fail; the join
+    # comes first in preorder
+    ([(0, 1), (3, 4), (3, 5), (4, 5)], 6, {0: 1, 1: 1, 2: 4, 3: 3, 4: 1, 5: 2},
+     ({1}, {1})),
+    ([(0, 1), (3, 4), (3, 5), (4, 5)], 6, {0: 1, 1: 2, 2: 3, 3: 3, 4: 1, 5: 1},
+     ({1, 2}, {1, 3})),
+])
+def test_reconstruct_cotree_pinned_certificates(edges, n, c, certificate):
+    with pytest.raises(NotHcColoringError) as exc:
+        reconstruct_cotree(Graph(n, edges), c)
+    assert exc.value.certificate == tuple(frozenset(s) for s in certificate)
