@@ -114,7 +114,8 @@ def verify_hc(g: Graph, t: Cotree, c: Coloring,
 
     Joins require disjoint child color sets (K2); unions require one child
     color set to contain the other (K3). On rejection the deepest failing
-    node is reported, ties broken leftmost.
+    node is reported, ties broken leftmost. Colors are renumbered densely
+    before they become bits; the certificate holds the original colors.
     """
     _check_domain(g, c)
     if check_tree:
@@ -125,11 +126,12 @@ def verify_hc(g: Graph, t: Cotree, c: Coloring,
     label = t.label
     children = t.children
     vertex = t.vertex
+    bit, palette = _color_bits(c)
     masks = [0] * t.n_nodes()
     failures: list[tuple[int, str, int, int]] = []
     for u in t.postorder():
         if label[u] == -1:
-            masks[u] = 1 << c[vertex[u]]
+            masks[u] = bit[vertex[u]]
             continue
         m1, m2 = (masks[ch] for ch in children[u])
         masks[u] = m1 | m2
@@ -157,7 +159,7 @@ def verify_hc(g: Graph, t: Cotree, c: Coloring,
     node, axiom, m1, m2 = min(failures,
                               key=lambda f: (-depth[f[0]], preorder[f[0]]))
     return Verdict(False, node=node, axiom=axiom,
-                   sets=(frozenset(bits(m1)), frozenset(bits(m2))))
+                   sets=(_colors(m1, palette), _colors(m2, palette)))
 
 
 # -- existential decision (over all binary cotrees) ---------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graph import Graph, bits, components_bits, co_components_bits
 
@@ -54,9 +53,15 @@ class Cotree:
     `children[i]` is a tuple of node ids (`()` for a leaf), `vertex[i]` is
     the graph vertex id of a leaf (-1 for inner nodes). `names`, when
     present, maps vertex ids to display names.
+
+    Nodes are only appended and `children` holds tuples, so the shape below
+    `root` is fixed by the root and the node count. `postorder` is cached on
+    that pair. `leaf_masks` is not: its masks take up to n bits per node,
+    more than the tree itself, so they are not kept with every tree.
     """
 
-    __slots__ = ("label", "children", "vertex", "root", "names")
+    __slots__ = ("label", "children", "vertex", "root", "names",
+                 "_postorder")
 
     def __init__(self, names: tuple[str, ...] | None = None):
         self.label: list[int] = []
@@ -64,6 +69,7 @@ class Cotree:
         self.vertex: list[int] = []
         self.root = -1
         self.names = names
+        self._postorder = ((-1, -1), ())  # ((root, node count), order)
 
     def add_leaf(self, v: int) -> int:
         self.label.append(LEAF)
@@ -90,18 +96,24 @@ class Cotree:
     def n_leaves(self) -> int:
         return sum(1 for l in self.label if l == LEAF)
 
-    def postorder(self) -> list[int]:
-        out = []
-        stack = [(self.root, False)]
-        while stack:
-            u, done = stack.pop()
-            if done:
-                out.append(u)
-                continue
-            stack.append((u, True))
-            for c in reversed(self.children[u]):
-                stack.append((c, False))
-        return out
+    def postorder(self) -> tuple[int, ...]:
+        """Node ids below the root, children before parents, left to right.
+
+        Cached until the root or the node count changes."""
+        key = (self.root, len(self.label))
+        if self._postorder[0] != key:
+            out = []
+            stack = [(self.root, False)]
+            while stack:
+                u, done = stack.pop()
+                if done:
+                    out.append(u)
+                    continue
+                stack.append((u, True))
+                for c in reversed(self.children[u]):
+                    stack.append((c, False))
+            self._postorder = (key, tuple(out))
+        return self._postorder[1]
 
     def leaf_masks(self) -> list[int]:
         """Per node, bitset of graph vertices below it."""
@@ -170,23 +182,23 @@ def _signature(t: Cotree) -> tuple:
 # -- recognition -----------------------------------------------------------
 
 def _find_p4_in(adj: tuple[int, ...], sub: int) -> P4Witness:
-    """Explicit quadruple search inside a stalled (non-cograph) subset."""
-    verts = list(bits(sub))
-    for quad in combinations(verts, 4):
-        qmask = 0
-        for v in quad:
-            qmask |= 1 << v
-        degs = [(adj[v] & qmask).bit_count() for v in quad]
-        if sorted(degs) != [1, 1, 2, 2]:
-            continue
-        if sum(degs) != 6:
-            continue
-        ends = [v for v, d in zip(quad, degs) if d == 1]
-        a, d = ends
-        b = next(iter(bits(adj[a] & qmask)))
-        c = next(iter(bits(adj[d] & qmask)))
-        if adj[b] >> c & 1:
-            return P4Witness(a, b, c, d)
+    """An induced P4 inside a stalled (non-cograph) subset, by edges.
+
+    For an edge b-c, A = N(b) minus N[c] and D = N(c) minus N[b] inside the
+    subset; any a in A with a non-neighbor d in D gives the path a-b-c-d.
+    """
+    for b in bits(sub):
+        nb = adj[b] & sub
+        for c in bits(nb):
+            nc = adj[c] & sub
+            ends_a = nb & ~nc & ~(1 << c)
+            ends_d = nc & ~nb & ~(1 << b)
+            if not ends_d:
+                continue
+            for a in bits(ends_a):
+                miss = ends_d & ~adj[a]
+                if miss:
+                    return P4Witness(a, b, c, (miss & -miss).bit_length() - 1)
     raise AssertionError("stalled subgraph must contain an induced P4")
 
 

@@ -4,6 +4,14 @@ Nothing here shares algorithmic code with the fast paths: chromatic and
 Grundy numbers come from exhaustive search, hc-ness from enumerating every
 binary cotree, greedy-ness from enumerating every vertex order. Size guards
 raise instead of silently taking forever.
+
+`check_theorems` enumerates each instance once for all checks: the binary
+cotrees and their leaf masks, the proper partitions, greedy's output for
+every vertex order and each coloring's verdicts against every tree are
+shared through `_GraphCtx`.
+Only identical calls are shared: verdicts are memoized on the labeled
+coloring, never on its partition, so no invariance of `verify_hc` is
+assumed that the checks are meant to test.
 """
 
 from __future__ import annotations
@@ -255,6 +263,7 @@ def all_binary_cotrees(g: Graph) -> list[Cotree]:
 
 def _direct_recursively_minimal(g: Graph, c: Coloring,
                                 trees: list[Cotree],
+                                tree_masks: list[list[int]],
                                 chi_cache: dict[int, int]) -> bool:
     """Exists an enumerated binary cotree along which every constituent
     uses exactly its brute-force chromatic number of colors."""
@@ -268,8 +277,7 @@ def _direct_recursively_minimal(g: Graph, c: Coloring,
             chi_cache[mask] = brute_chromatic(sub)
         return chi_cache[mask]
 
-    for t in trees:
-        masks = t.leaf_masks()
+    for t, masks in zip(trees, tree_masks):
         ok = True
         for u in t.postorder():
             used = len({c[v] for v in bits(masks[u])})
@@ -327,8 +335,18 @@ class TheoremReport:
                 f"counterexamples={len(self.counterexamples)}")
 
 
+def _greedy_run(g: Graph, order: tuple[int, ...]) -> tuple[int, ...]:
+    c = greedy_coloring(g, order)
+    return tuple(c[v] for v in range(g.n))
+
+
 class _GraphCtx:
-    """Lazily shared per-instance data for the theorem checks."""
+    """Lazily shared per-instance data for the theorem checks.
+
+    Each enumeration (binary cotrees and their leaf masks, proper
+    partitions, greedy runs) runs at most once per instance, and `verdicts`
+    runs `verify_hc` at most once per (labeled coloring, tree) pair.
+    """
 
     def __init__(self, g: Graph, seed: int):
         self.g = g
@@ -355,16 +373,34 @@ class _GraphCtx:
         return self._get("partitions", lambda: proper_partitions(self.g))
 
     @property
+    def greedy_runs(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Per vertex order, in permutation order, greedy's colors in vertex
+        order (every order, so for n <= 5 only)."""
+        return self._get("greedy_runs", lambda: {
+            order: _greedy_run(self.g, order)
+            for order in itertools.permutations(range(self.g.n))})
+
+    def verdicts(self, c: Coloring) -> tuple[bool, ...]:
+        """Per enumerated tree, whether verify_hc accepts c; memoized on
+        c's colors in vertex order, so only identical calls are shared."""
+        memo = self._get("verdicts", dict)
+        key = tuple(c[v] for v in range(self.g.n))
+        if key not in memo:
+            memo[key] = tuple(verify_hc(self.g, t, c, check_tree=False)
+                              .accepted for t in self.trees)
+        return memo[key]
+
+    @property
     def accepted_mask(self) -> list[bool]:
         """Per partition: accepted by at least one enumerated cotree."""
-        def compute():
-            g = self.g
-            out = []
-            for c in self.partitions:
-                out.append(any(verify_hc(g, t, c, check_tree=False).accepted
-                               for t in self.trees))
-            return out
-        return self._get("accepted_mask", compute)
+        return self._get("accepted_mask", lambda: [
+            any(self.verdicts(c)) for c in self.partitions])
+
+    @property
+    def tree_masks(self) -> list[list[int]]:
+        """Per enumerated tree, its leaf masks."""
+        return self._get("tree_masks",
+                         lambda: [t.leaf_masks() for t in self.trees])
 
     @property
     def chi_cache(self) -> dict[int, int]:
@@ -427,10 +463,11 @@ def _check_l2(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         rep.notes.append(f"instance {idx}: size-guard")
         return
     if g.n <= 5:
-        orders = itertools.permutations(range(g.n))
+        runs = ctx.greedy_runs.items()
     else:
         pool = list(range(g.n))
         orders = [tuple(rng.sample(pool, g.n)) for _ in range(200)]
+        runs = [(order, _greedy_run(g, order)) for order in orders]
         rep.notes.append(f"instance {idx}: sampled 200 orders")
     comps = _components_of(g)
     comp_chi = []
@@ -440,20 +477,14 @@ def _check_l2(rep: TheoremReport, idx: int, ctx: _GraphCtx,
                               for u, v in g.edges()
                               if u in comp and v in comp])
         comp_chi.append(brute_chromatic(sub))
-    for order in orders:
-        c = greedy_coloring(g, order)
-        if len(set(c.values())) != ctx.chi:
+    for order, flat in runs:
+        if len(set(flat)) != ctx.chi:
             rep.counterexamples.append((idx, order, "gamma>chi"))
             continue
         for comp, k in zip(comps, comp_chi):
-            if {c[v] for v in comp} != set(range(1, k + 1)):
+            if {flat[v] for v in comp} != set(range(1, k + 1)):
                 rep.counterexamples.append((idx, order, comp))
     rep.checked += 1
-
-
-def _greedy_outputs(g: Graph) -> set[tuple[int, ...]]:
-    return {tuple(greedy_coloring(g, order)[v] for v in range(g.n))
-            for order in itertools.permutations(range(g.n))}
 
 
 def _check_l3(rep: TheoremReport, idx: int, ctx: _GraphCtx,
@@ -464,10 +495,10 @@ def _check_l3(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         rep.skipped += 1
         rep.notes.append(f"instance {idx}: size-guard")
         return
-    for flat in _greedy_outputs(g):
-        c = dict(enumerate(flat))
-        for t in ctx.trees:
-            if not verify_hc(g, t, c, check_tree=False).accepted:
+    for flat in set(ctx.greedy_runs.values()):
+        verdicts = ctx.verdicts(dict(enumerate(flat)))
+        for t, accepted in zip(ctx.trees, verdicts):
+            if not accepted:
                 rep.counterexamples.append((idx, flat, t))
     rep.checked += 1
 
@@ -495,12 +526,11 @@ def _check_greedy_iff(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         rep.skipped += 1
         rep.notes.append(f"instance {idx}: size-guard")
         return
-    greedy_set = _greedy_outputs(g)
+    greedy_set = set(ctx.greedy_runs.values())
     hc_parts = set()
     for c in all_min_colorings(g):
         flat = tuple(c[v] for v in range(g.n))
-        if all(verify_hc(g, t, c, check_tree=False).accepted
-               for t in ctx.trees):
+        if all(ctx.verdicts(c)):
             hc_parts.add(_partition_key(c, g.n))
         by_orders = flat in greedy_set
         by_witness = is_greedy(g, c)
@@ -531,7 +561,8 @@ def _check_t3(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         return
     for c, brute in zip(ctx.partitions, ctx.accepted_mask):
         fast = is_hc_coloring(g, c).accepted
-        direct = _direct_recursively_minimal(g, c, ctx.trees, ctx.chi_cache)
+        direct = _direct_recursively_minimal(g, c, ctx.trees,
+                                             ctx.tree_masks, ctx.chi_cache)
         if not (fast == brute == direct):
             rep.counterexamples.append((idx, c, fast, brute, direct))
     rep.checked += 1
@@ -553,7 +584,7 @@ def _check_t4(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         if not is_hc_coloring(g, c).accepted:
             rep.counterexamples.append((idx, chooser.strategy, c))
         elif g.n <= 6 and not _direct_recursively_minimal(
-                g, c, ctx.trees, ctx.chi_cache):
+                g, c, ctx.trees, ctx.tree_masks, ctx.chi_cache):
             rep.counterexamples.append((idx, chooser.strategy, c, "direct"))
     if g.n <= 5:
         produced = {_partition_key(c, g.n) for c in enumerate_alg1_outputs(g)}
@@ -582,9 +613,9 @@ def _check_count(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         return
     chi_fact = math.factorial(ctx.chi)
     root_counts = set()
-    for t in ctx.trees:
-        brute = sum(1 for c in ctx.partitions
-                    if verify_hc(g, t, c, check_tree=False).accepted)
+    columns = zip(*(ctx.verdicts(c) for c in ctx.partitions))
+    for t, column in zip(ctx.trees, columns):
+        brute = sum(column)
         report = count_hc_wrt(t)
         root_counts.add(report.root_partitions)
         if report.labeled_total != brute * chi_fact:

@@ -1,21 +1,41 @@
+import itertools
+import time
+
 import pytest
 
-from cograph_hc import (Graph, P4Witness, align_to_graph, build_cotree,
-                        chromatic_number, is_binary, is_discriminating,
-                        join, make_discriminating, newick_read, newick_write,
+from cograph_hc import (Cotree, GenParams, Graph, P4Witness, align_to_graph,
+                        build_cotree, chromatic_number, is_binary,
+                        is_discriminating, join, make_discriminating,
+                        newick_read, newick_write, random_cograph,
                         realized_graph, realizes, to_binary)
 from cograph_hc.oracle import find_induced_p4
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)], names=("a", "b", "c", "d"))
 
 
+def induces_p4(g, w):
+    a, b, c, d = w.as_tuple()
+    return (g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
+            and not (g.has_edge(a, c) or g.has_edge(a, d)
+                     or g.has_edge(b, d)))
+
+
 def test_build_cotree_p4_witness():
     w = build_cotree(P4)
     assert isinstance(w, P4Witness)
-    a, b, c, d = w.as_tuple()
-    # verify the witness really induces a path
-    assert P4.has_edge(a, b) and P4.has_edge(b, c) and P4.has_edge(c, d)
-    assert not (P4.has_edge(a, c) or P4.has_edge(a, d) or P4.has_edge(b, d))
+    assert induces_p4(P4, w)
+
+
+def test_every_p4_witness_on_5_vertices_induces_a_p4():
+    pairs = list(itertools.combinations(range(5), 2))
+    witnesses = 0
+    for mask in range(1 << len(pairs)):
+        g = Graph(5, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        w = build_cotree(g)
+        if isinstance(w, P4Witness):
+            witnesses += 1
+            assert induces_p4(g, w), (mask, w)
+    assert witnesses == (1 << 10) - 472  # 472 labeled cographs on 5
 
 
 def test_build_cotree_singleton():
@@ -45,6 +65,34 @@ def test_recognition_matches_p4_search_n4():
         assert got_tree == (find_induced_p4(g) is None)
         if got_tree:
             assert realized_graph(build_cotree(g)).adj == g.adj
+
+
+def test_p4_witness_in_a_large_stalled_set_is_fast():
+    # the added edge joins two union children spanning about 500 vertices,
+    # so recognition stalls on a large set before it finds the P4
+    g, _ = random_cograph(GenParams(n=1000, seed=1))
+    g = Graph(g.n, [*g.edges(), (519, 586)])
+    start = time.perf_counter()
+    w = build_cotree(g)
+    elapsed = time.perf_counter() - start
+    assert isinstance(w, P4Witness) and induces_p4(g, w)
+    assert elapsed < 0.5
+
+
+def test_postorder_is_a_cached_tuple_that_follows_the_tree():
+    t = Cotree()
+    a, b = t.add_leaf(0), t.add_leaf(1)
+    t.root = t.add_inner(1, [a, b])
+    post = t.postorder()
+    assert post == (0, 1, 2) and t.postorder() is post
+    assert t.leaf_masks() == [0b1, 0b10, 0b11]
+    c = t.add_leaf(2)
+    assert t.postorder() == post and t.leaf_masks() == [1, 2, 3, 0]
+    t.root = t.add_inner(0, [t.root, c])
+    assert t.postorder() == (0, 1, 2, 3, 4)
+    assert t.leaf_masks() == [0b1, 0b10, 0b11, 0b100, 0b111]
+    t.root = a  # a new root over the same arena
+    assert t.postorder() == (0,) and t.leaf_masks() == [1, 0, 0, 0, 0]
 
 
 def test_chromatic_number(k2_k1_k1):

@@ -1,6 +1,10 @@
+import math
+from collections import Counter
+
 import pytest
 
-from cograph_hc import Graph, build_cotree, chromatic_number, newick_write
+from cograph_hc import (Graph, build_cotree, chromatic_number,
+                        exhaustive_cographs, newick_write)
 from cograph_hc import oracle
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -129,3 +133,65 @@ def test_report_render_contract():
     assert rep.render() == "THEOREM T1 PASS checked=3 counterexamples=0"
     rep.counterexamples.append(("x",))
     assert rep.render() == "THEOREM T1 FAIL checked=3 counterexamples=1"
+
+
+def test_sweep_runs_greedy_and_verify_hc_once_per_distinct_call(monkeypatch):
+    # each instance's greedy runs and cotree verdicts are enumerated once
+    # and shared by every check that needs them
+    corpus = [g for n in range(1, 5) for g in exhaustive_cographs(n)]
+    greedy_calls: Counter = Counter()
+    verify_calls: Counter = Counter()
+    greedy, verify = oracle.greedy_coloring, oracle.verify_hc
+
+    def counting_greedy(g, order):
+        greedy_calls[g] += 1
+        return greedy(g, order)
+
+    def counting_verify(g, t, c, check_tree=True):
+        verify_calls[g, tuple(c[v] for v in range(g.n)), id(t)] += 1
+        return verify(g, t, c, check_tree)
+
+    monkeypatch.setattr(oracle, "greedy_coloring", counting_greedy)
+    monkeypatch.setattr(oracle, "verify_hc", counting_verify)
+    reports = oracle.check_theorems(corpus)
+    assert all(r.passed and r.checked == len(corpus) for r in reports)
+    assert set(greedy_calls) == set(corpus)
+    assert all(k <= math.factorial(g.n) for g, k in greedy_calls.items())
+    assert verify_calls and max(verify_calls.values()) == 1
+
+
+def test_l2_draws_the_same_sampled_orders_at_n6(monkeypatch):
+    # at n = 6 L2 samples 200 orders per instance from the per-instance
+    # stream; a planted greedy fault (a fresh color for the last vertex of
+    # every order starting 0, 1) exposes the orders drawn, which are pinned
+    corpus = list(exhaustive_cographs(6))[::1500]
+    greedy = oracle.greedy_coloring
+
+    def faulty(g, order):
+        c = greedy(g, order)
+        if tuple(order[:2]) == (0, 1):
+            c[order[-1]] = max(c.values()) + 1
+        return c
+
+    monkeypatch.setattr(oracle, "greedy_coloring", faulty)
+    rep, = oracle.check_theorems(corpus, ["L2"], seed=3)
+    assert (rep.checked, rep.skipped) == (4, 0)
+    assert rep.notes == [f"instance {i}: sampled 200 orders"
+                         for i in range(4)]
+    # (instance, order, "gamma>chi" or the component whose colors broke)
+    expected = [(0, "014523", "gamma>chi"), (0, "012543", "gamma>chi"),
+                (0, "014325", "gamma>chi"), (0, "013542", "gamma>chi"),
+                (0, "015432", "gamma>chi"), (0, "012354", "gamma>chi"),
+                (0, "013524", "gamma>chi"), (0, "015342", "gamma>chi"),
+                (1, "013524", "12345"), (1, "012453", "12345"),
+                (2, "015234", "gamma>chi"), (2, "014532", "01245"),
+                (3, "014253", "gamma>chi"), (3, "012435", "012345"),
+                (3, "012345", "012345"), (3, "012354", "gamma>chi"),
+                (3, "013245", "012345"), (3, "013452", "012345"),
+                (3, "014532", "012345")]
+    def digits(s):
+        return tuple(map(int, s))
+
+    assert rep.counterexamples == [
+        (i, digits(order), kind if kind == "gamma>chi" else digits(kind))
+        for i, order, kind in expected]

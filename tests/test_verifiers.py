@@ -8,6 +8,7 @@ bitmask verifiers with per-edge definitions.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +148,32 @@ def test_colors_need_not_be_small_integers():
     with pytest.raises(NotHcColoringError) as exc:
         reconstruct_cotree(g, {0: huge, 1: 1, 2: 7})
     assert exc.value.certificate == ({7}, {1, huge})
+
+
+def test_verify_hc_memory_does_not_grow_with_color_values():
+    g = Graph(3, [(0, 1)])
+    t = to_binary(build_cotree(g))
+    tracemalloc.start()
+    try:
+        verdict = verify_hc(g, t, {0: 10**9, 1: 1, 2: 1})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.accepted
+    assert peak < 1 << 20
+
+
+def test_verify_hc_certificate_holds_the_original_colors():
+    g = Graph(4, [(0, 1), (2, 3)])
+    t = to_binary(build_cotree(g))
+    big = 10**9
+    verdict = verify_hc(g, t, {0: big, 1: 7, 2: 7, 3: 3 * big})
+    assert not verdict.accepted and verdict.axiom == "K3"
+    assert verdict.node == t.root
+    assert verdict.sets == (frozenset({7, big}), frozenset({7, 3 * big}))
+    verdict = verify_hc(g, t, {0: big, 1: big, 2: 1, 3: 2})
+    assert not verdict.accepted and verdict.axiom == "K2"
+    assert verdict.sets == (frozenset({big}), frozenset({big}))
 
 
 # -- reconstruct_cotree gives the trees it gave before the bitmask pass --------
