@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = success / accept, 1 = reject / negative result,
-2 = usage or I/O error. `COGRAPH_HC_THREADS` caps the worker processes of
-`check` (0 = auto, default 1).
+2 = usage or I/O error, a closed standard output (broken pipe) included.
+`COGRAPH_HC_THREADS` caps the worker processes of `check` (0 = auto,
+default 1).
 """
 
 from __future__ import annotations
@@ -156,17 +157,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
               f"{{{','.join(leaves)}}}: color sets {s1} vs {s2}")
         return 1
     proper = col.is_proper(g, c)
-    hc = False
+    hc = col.Verdict(False)
     greedy = False
     if proper:
         try:
-            hc = col.is_hc_coloring(g, c).accepted
+            hc = col.is_hc_coloring(g, c)
         except ct.NotACographError as exc:
             raise _CliError(f"not-a-cograph: {_witness_names(g, exc.witness)}",
                             code=1) from exc
         greedy = col.is_greedy(g, c)
     yn = {True: "yes", False: "no"}
-    print(f"proper={yn[proper]} hc={yn[hc]} greedy={yn[greedy]}")
+    print(f"proper={yn[proper]} hc={yn[hc.accepted]} greedy={yn[greedy]}")
+    if not proper:
+        u, v = col._improper_edge(g, c)
+        print(f"proper=no: edge {names[u]}-{names[v]} has color {c[u]} "
+              "at both ends")
+        print("hc=no: the coloring is not proper")
+        print("greedy=no: the coloring is not proper")
+        return 1
+    if not hc:
+        s1, s2 = (sorted(s) for s in hc.sets)
+        node = "join" if hc.axiom == "K2" else "union"
+        print(f"hc=no: {hc.axiom} violation at a {node}: color sets {s1} "
+              f"vs {s2}")
+    if not greedy:
+        v, i = col._greedy_witness(g, c)
+        print(f"greedy=no: vertex {names[v]} has color {c[v]} and no "
+              f"neighbor of color {i}")
     return 0 if hc else 1
 
 
@@ -306,12 +323,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone. Send what is left to os.devnull,
+        # so that the interpreter's final flush cannot raise again.
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        print("error: standard output closed (broken pipe)", file=sys.stderr)
         return 2
 
 

@@ -63,10 +63,26 @@ def _classes(g: Graph, c: Coloring) -> tuple[dict[int, int], dict[int, int]]:
     return cls, nbr
 
 
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _improper_edge(g: Graph, c: Coloring) -> tuple[int, int] | None:
+    """An edge (u, v), u < v, with both ends in one color class and the
+    smallest such u, or None when c is proper."""
+    cls, nbr = _classes(g, c)
+    bad = 0
+    for k in cls:
+        bad |= cls[k] & nbr[k]
+    if not bad:
+        return None
+    u = _low(bad)
+    return u, _low(g.adj[u] & cls[c[u]])
+
+
 def is_proper(g: Graph, c: Coloring) -> bool:
     """True iff no color class meets its own neighbor set."""
-    cls, nbr = _classes(g, c)
-    return not any(cls[k] & nbr[k] for k in cls)
+    return _improper_edge(g, c) is None
 
 
 def greedy_coloring(g: Graph, order: Sequence[int]) -> Coloring:
@@ -86,24 +102,37 @@ def greedy_coloring(g: Graph, order: Sequence[int]) -> Coloring:
     return c
 
 
-def is_greedy(g: Graph, c: Coloring) -> bool:
-    """Decide whether some vertex order produces c.
+def _greedy_witness(g: Graph, c: Coloring) -> tuple[int, int] | None:
+    """Why no vertex order produces c: a vertex v and a color i below v's
+    color that no neighbor of v has, or None when some order produces c.
 
-    Witness condition: the colors form {1..k} and every vertex with color j
-    has a neighbor of every color 1..j-1; that is, for each color j, every
-    vertex colored above j lies in the neighbor set of class j.
+    Witness condition: c is greedy iff every vertex with color j has a
+    neighbor of every color 1..j-1; that is, for each color j, every vertex
+    colored above j lies in the neighbor set of class j. With k classes, a
+    color above k means some color i <= k is missing, and then no vertex
+    has a neighbor of color i. The lowest such v is reported, for the
+    largest such i.
     """
     cls, nbr = _classes(g, c)
     if any(cls[k] & nbr[k] for k in cls):
         raise ValueError("not-proper")
-    if set(cls) != set(range(1, len(cls) + 1)):
-        return False
+    k = len(cls)
     above = 0
-    for j in range(len(cls), 0, -1):
-        if above & ~nbr[j]:
-            return False
-        above |= cls[j]
-    return True
+    for col, members in cls.items():
+        if col > k:
+            above |= members
+    for j in range(k, 0, -1):
+        bad = above & ~nbr.get(j, 0)
+        if bad:
+            return _low(bad), j
+        above |= cls.get(j, 0)
+    return None
+
+
+def is_greedy(g: Graph, c: Coloring) -> bool:
+    """Decide whether some vertex order produces c: every vertex with color
+    j has a neighbor of every color 1..j-1 (see `_greedy_witness`)."""
+    return _greedy_witness(g, c) is None
 
 
 # -- verification against a fixed binary cotree ------------------------------

@@ -1,11 +1,11 @@
 """Cotrees: recognition of cographs, normal forms, and Newick serialization.
 
 A cotree is a rooted tree whose leaves are graph vertices and whose inner
-nodes are labeled 0 (disjoint union) or 1 (join). Recognition follows the
-recursive decomposition: a graph with more than one vertex is either
-disconnected (0-node over its components) or has a disconnected complement
-(1-node over the complement components); if neither holds it contains an
-induced P4 and is not a cograph.
+nodes are labeled 0 (disjoint union) or 1 (join). Recognition merges twins
+bottom-up (`build_cotree`): every induced subgraph of a cograph on two or
+more vertices has a pair of twins (Corneil, Lerchs & Stewart Burlingham,
+1981), so merging them builds the cotree in O(n^2/w) word operations
+whatever its shape, and a graph left without twins holds a P4.
 
 All traversals are iterative so deep caterpillar trees do not hit the
 interpreter recursion limit.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import Graph, bits, components_bits, co_components_bits
+from .graph import Graph, bits
 
 LEAF = -1
 
@@ -205,41 +205,94 @@ def _find_p4_in(adj: tuple[int, ...], sub: int) -> P4Witness:
 def build_cotree(g: Graph) -> Cotree | P4Witness:
     """Discriminating cotree of g, or a verified P4 witness.
 
-    Children are ordered canonically by smallest contained vertex id, so
-    the result is deterministic.
+    Vertices are inserted in id order as modules, each kept as (ext, mask):
+    its neighbors outside it and its vertices. Modules M and X are false
+    twins iff ext(M) == ext(X) and true twins iff ext(M)|M == ext(X)|X, so
+    one dict per key finds a twin; the pair merges into a union (0) or a
+    join (1) with ext(M) & ~X and M | X, and the merged module is looked
+    up again. A merge changes no other module's keys, so the dicts see
+    every twin pair. A same-label child is absorbed into its parent, the
+    shorter child list appended to the longer.
+
+    One module left: the tree, children ordered by smallest vertex id and
+    nodes numbered in postorder. More: their lowest vertices induce a
+    twin-free graph; the P4 is searched for in it after peeling the
+    vertices that are universal or isolated there, which lie in no P4.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         raise ValueError("empty-graph")
-    t = Cotree(names=g.names)
     adj = g.adj
-    full = (1 << g.n) - 1
+    label = [LEAF] * n  # work nodes: leaves 0..n-1, then inner nodes
+    kids: list = [None] * n
+    low = list(range(n))
+    live: dict[int, tuple[int, int]] = {}  # module -> (ext, mask)
+    by_ext: dict[int, int] = {}     # ext -> module: false twins
+    by_closed: dict[int, int] = {}  # ext | mask -> module: true twins
+    for u in range(n):
+        e, m = adj[u], 1 << u
+        while True:
+            x, lab = by_ext.get(e), 0
+            if x is None:
+                x, lab = by_closed.get(e | m), 1
+                if x is None:
+                    break
+            ex, mx = live.pop(x)
+            del by_ext[ex], by_closed[ex | mx]
+            e, m = e & ~mx, m | mx
+            if label[x] == lab and (label[u] != lab
+                                    or len(kids[x]) > len(kids[u])):
+                u, x = x, u
+            if label[u] != lab:
+                label.append(lab)
+                kids.append([u])
+                low.append(low[u])
+                u = len(label) - 1
+            kids[u] += kids[x] if label[x] == lab else [x]
+            low[u] = min(low[u], low[x])
+        live[u] = (e, m)
+        by_ext[e] = by_closed[e | m] = u
+    if len(live) > 1:
+        return _find_p4_in(adj, _peel(adj, [low[x] for x in live]))
+    t = Cotree(names=g.names)
     out: list[int] = []
-    work: list[tuple[str, object]] = [("enter", full)]
+    work = [u]
     while work:
-        tag, arg = work.pop()
-        if tag == "exit":
-            label, k = arg  # type: ignore[misc]
-            kids = out[-k:]
-            del out[-k:]
-            out.append(t.add_inner(label, kids))
-            continue
-        sub: int = arg  # type: ignore[assignment]
-        if sub & (sub - 1) == 0:
-            out.append(t.add_leaf(sub.bit_length() - 1))
-            continue
-        parts = components_bits(adj, sub)
-        if len(parts) > 1:
-            label = 0
+        u = work.pop()
+        if u < 0:
+            k = len(kids[~u])
+            out[-k:] = [t.add_inner(label[~u], out[-k:])]
+        elif u < n:
+            out.append(t.add_leaf(u))
         else:
-            parts = co_components_bits(adj, sub)
-            if len(parts) == 1:
-                return _find_p4_in(adj, sub)
-            label = 1
-        work.append(("exit", (label, len(parts))))
-        for p in reversed(parts):
-            work.append(("enter", p))
+            kids[u].sort(key=low.__getitem__)
+            work.append(~u)
+            work.extend(reversed(kids[u]))
     t.root = out[0]
     return t
+
+
+def _peel(adj: tuple[int, ...], reps: list[int]) -> int:
+    """Bitset of `reps` less its universal and isolated vertices, peeled
+    until none is left. Degrees are counted once: each peeled universal
+    vertex lowers every survivor's degree by one. `reps` induce a twin-free
+    graph, and peeling keeps it so; two survivors both isolated or both
+    universal would be twins, so one vertex per degree is enough."""
+    sub = 0
+    for v in reps:
+        sub |= 1 << v
+    at = {(adj[v] & sub).bit_count(): v for v in reps}
+    lo, hi = 0, len(reps) - 1  # degree of an isolated / a universal vertex
+    while lo < hi:
+        if lo in at:
+            sub ^= 1 << at.pop(lo)
+            hi -= 1
+        elif hi in at:
+            sub ^= 1 << at.pop(hi)
+            lo += 1
+        else:
+            break
+    return sub
 
 
 def realized_graph(t: Cotree) -> Graph:

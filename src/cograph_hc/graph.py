@@ -126,25 +126,6 @@ def components_bits(adj: tuple[int, ...], sub: int) -> list[int]:
     return out
 
 
-def co_components_bits(adj: tuple[int, ...], sub: int) -> list[int]:
-    """Components of the complement of the subgraph induced by `sub`."""
-    out = []
-    remaining = sub
-    while remaining:
-        start = remaining & -remaining
-        comp = 0
-        frontier = start
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= ~adj[v] & sub & ~(1 << v)
-            frontier = nxt & remaining & ~comp
-        out.append(comp)
-        remaining &= ~comp
-    return out
-
-
 # -- elementary operations -------------------------------------------------
 
 def complement(g: Graph) -> Graph:

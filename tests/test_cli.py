@@ -1,4 +1,6 @@
+import io
 import os
+import sys
 
 import pytest
 
@@ -89,12 +91,49 @@ def test_color_bad_order(files, capsys):
 def test_verify_summary_exit_codes(files, capsys):
     g = files("g.txt", GRAPH)
     assert main(["verify", g, files("b.txt", COLORING_B)]) == 0
-    assert capsys.readouterr().out == "proper=yes hc=yes greedy=no\n"
+    assert capsys.readouterr().out.startswith("proper=yes hc=yes greedy=no\n")
     assert main(["verify", g, files("a.txt", COLORING_A)]) == 0
     assert capsys.readouterr().out == "proper=yes hc=yes greedy=yes\n"
     bad = files("bad.txt", "a\t1\nb\t2\nc\t1\nd\t3\n")
     assert main(["verify", g, bad]) == 1
     assert "hc=no" in capsys.readouterr().out
+
+
+def test_verify_witness_for_an_improper_coloring(files, capsys):
+    g = files("g.txt", GRAPH)
+    c = files("c.txt", "a\t1\nb\t1\nc\t1\nd\t2\n")
+    assert main(["verify", g, c]) == 1
+    assert capsys.readouterr().out == (
+        "proper=no hc=no greedy=no\n"
+        "proper=no: edge a-b has color 1 at both ends\n"
+        "hc=no: the coloring is not proper\n"
+        "greedy=no: the coloring is not proper\n")
+
+
+def test_verify_witness_for_a_coloring_that_is_not_hc(files, capsys):
+    # the union's children {a,b} and {d} carry {1,2} and {3}: no child
+    # holds every color, which K3 needs; d has no neighbor at all
+    g = files("g.txt", GRAPH)
+    c = files("c.txt", "a\t1\nb\t2\nc\t1\nd\t3\n")
+    assert main(["verify", g, c]) == 1
+    assert capsys.readouterr().out == (
+        "proper=yes hc=no greedy=no\n"
+        "hc=no: K3 violation at a union: color sets [3] vs [1, 2]\n"
+        "greedy=no: vertex d has color 3 and no neighbor of color 2\n")
+
+
+def test_verify_witness_for_a_coloring_that_is_not_greedy(files, capsys):
+    # hc, but the isolated d got color 2 although it sees no color 1
+    g = files("g.txt", GRAPH)
+    assert main(["verify", g, files("b.txt", COLORING_B)]) == 0
+    assert capsys.readouterr().out == (
+        "proper=yes hc=yes greedy=no\n"
+        "greedy=no: vertex d has color 2 and no neighbor of color 1\n")
+    # a color left out: b (color 3) sees no color 2, which nobody has
+    gap = files("gap.txt", "a\t1\nb\t3\nc\t1\nd\t1\n")
+    assert main(["verify", g, gap]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "greedy=no: vertex b has color 3 and no neighbor of color 2")
 
 
 def test_verify_two_colored_empty_pair(files, capsys):
@@ -134,6 +173,39 @@ def test_count(files, capsys):
     assert "labeled_total 8" in out and "N 4 s 2" in out
     assert main(["count", files("k1.txt", "n 1\n")]) == 0
     assert "labeled_total 1" in capsys.readouterr().out
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: writing (or, with `at_flush`,
+    flushing) raises BrokenPipeError."""
+
+    def __init__(self, at_flush=False):
+        super().__init__()
+        self.at_flush = at_flush
+
+    def write(self, text):
+        if not self.at_flush:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.at_flush:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("at_flush", [False, True], ids=["write", "flush"])
+@pytest.mark.parametrize("argv", [["count"], ["recognize"]])
+def test_broken_pipe_exits_2_with_one_line(files, capsys, monkeypatch,
+                                           argv, at_flush):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(at_flush))
+    assert main([*argv, files("g.txt", GRAPH)]) == 2
+    # what is left goes to os.devnull, so the final flush cannot raise
+    assert sys.stdout.name == os.devnull
+    sys.stdout.write("more output\n")
+    sys.stdout.flush()
+    sys.stdout.close()
+    assert capsys.readouterr().err == (
+        "error: standard output closed (broken pipe)\n")
 
 
 def test_count_non_cograph(files, capsys):

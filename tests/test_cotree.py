@@ -1,13 +1,16 @@
 import itertools
+import random
 import time
 
 import pytest
 
 from cograph_hc import (Cotree, GenParams, Graph, P4Witness, align_to_graph,
-                        build_cotree, chromatic_number, is_binary,
-                        is_discriminating, join, make_discriminating,
-                        newick_read, newick_write, random_cograph,
-                        realized_graph, realizes, to_binary)
+                        build_cotree, chromatic_number, complement,
+                        is_binary, is_discriminating, join,
+                        make_discriminating, newick_read, newick_write,
+                        random_cograph, realized_graph, realizes, to_binary)
+from cograph_hc.cotree import LEAF, _find_p4_in
+from cograph_hc.graph import bits, components_bits
 from cograph_hc.oracle import find_induced_p4
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)], names=("a", "b", "c", "d"))
@@ -36,6 +39,149 @@ def test_every_p4_witness_on_5_vertices_induces_a_p4():
             witnesses += 1
             assert induces_p4(g, w), (mask, w)
     assert witnesses == (1 << 10) - 472  # 472 labeled cographs on 5
+
+
+# -- bottom-up twin merging against the top-down decomposition ---------------
+
+def _co_components(adj, sub):
+    """Components of the complement of the subgraph induced by `sub`."""
+    out, remaining = [], sub
+    while remaining:
+        comp, frontier = 0, remaining & -remaining
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= ~adj[v] & sub & ~(1 << v)
+            frontier = nxt & remaining & ~comp
+        out.append(comp)
+        remaining &= ~comp
+    return out
+
+
+def top_down_cotree(g):
+    """Reference: split the vertex set into components, else into
+    co-components, level by level; a set that splits neither way holds a
+    P4. Children in order of smallest vertex, nodes in postorder."""
+    t = Cotree(names=g.names)
+    out, work = [], [("enter", (1 << g.n) - 1)]
+    while work:
+        tag, arg = work.pop()
+        if tag == "exit":
+            label, k = arg
+            out[-k:] = [t.add_inner(label, out[-k:])]
+        elif arg & (arg - 1) == 0:
+            out.append(t.add_leaf(arg.bit_length() - 1))
+        else:
+            label, parts = 0, components_bits(g.adj, arg)
+            if len(parts) == 1:
+                label, parts = 1, _co_components(g.adj, arg)
+                if len(parts) == 1:
+                    return _find_p4_in(g.adj, arg)
+            work.append(("exit", (label, len(parts))))
+            work.extend(("enter", p) for p in reversed(parts))
+    t.root = out[0]
+    return t
+
+
+def arrays(t):
+    return t.label, t.children, t.vertex, t.root
+
+
+def assert_same_tree(g):
+    t, ref = build_cotree(g), top_down_cotree(g)
+    assert arrays(t) == arrays(ref)
+    assert t.postorder() == tuple(range(t.n_nodes()))
+
+
+def test_twin_merging_matches_top_down_on_all_graphs_up_to_5():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            if isinstance(top_down_cotree(g), P4Witness):
+                assert isinstance(build_cotree(g), P4Witness)
+            else:
+                assert_same_tree(g)
+
+
+@pytest.mark.parametrize("n", [50, 300, 1000])
+def test_twin_merging_matches_top_down_on_random_cographs(n):
+    for seed in range(3):
+        for arity in (2, 3, 6):
+            g, _ = random_cograph(GenParams(n=n, seed=seed, max_arity=arity))
+            assert_same_tree(g)
+
+
+def test_every_p4_witness_on_6_vertices_induces_a_p4():
+    pairs = list(itertools.combinations(range(6), 2))
+    witnesses = 0
+    for mask in range(1 << len(pairs)):
+        g = Graph(6, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        w = build_cotree(g)
+        if isinstance(w, P4Witness):
+            witnesses += 1
+            assert induces_p4(g, w), (mask, w)
+    assert witnesses == (1 << 15) - 5504  # 5504 labeled cographs on 6
+
+
+def caterpillar(n, seed):
+    """A depth-n cotree: one new leaf per level, labels alternating, the
+    vertices in a seeded random order; returns the tree and the leaves
+    from the bottom up."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    t = Cotree()
+    acc = t.add_leaf(order[0])
+    for i in range(1, n):
+        acc = t.add_inner(i % 2, [acc, t.add_leaf(order[i])])
+    t.root = acc
+    return t, order
+
+
+def test_deep_caterpillar_is_recognized_fast():
+    tree, _ = caterpillar(10**4, seed=1)
+    g = realized_graph(tree)
+    start = time.perf_counter()
+    t = build_cotree(g)
+    elapsed = time.perf_counter() - start
+    assert t == make_discriminating(tree)
+    assert t.postorder() == tuple(range(t.n_nodes()))
+    assert elapsed < 5
+
+
+def test_deep_caterpillar_with_a_p4_near_the_bottom_is_rejected_fast():
+    # level 12 is union(x, join(y, union(z, rest))): y sees z and every
+    # leaf w of rest, x sees none of them, so the edge x-w makes x-w-y-z
+    tree, order = caterpillar(10**4, seed=2)
+    x, w = order[12], order[0]
+    adj = list(realized_graph(tree).adj)
+    adj[x] |= 1 << w
+    adj[w] |= 1 << x
+    g = Graph._from_adj(len(adj), adj, None)  # an edge list would be slow
+    start = time.perf_counter()
+    witness = build_cotree(g)
+    elapsed = time.perf_counter() - start
+    assert isinstance(witness, P4Witness) and induces_p4(g, witness)
+    assert elapsed < 2
+
+
+@pytest.mark.parametrize("make, label", [
+    (lambda: Graph(3 * 10**4), 0),
+    (lambda: complement(Graph(5000)), 1),  # K_n: an edge list is slow
+], ids=["edgeless", "complete"])
+def test_one_inner_node_over_many_leaves_is_fast(make, label):
+    # every merge absorbs a same-label child: the shorter child list is
+    # appended to the longer, so this stays O(n log n) list work
+    g = make()
+    start = time.perf_counter()
+    t = build_cotree(g)
+    elapsed = time.perf_counter() - start
+    assert t.label[t.root] == label and t.root == g.n
+    assert t.children[t.root] == tuple(range(g.n))
+    assert t.label[:g.n] == [LEAF] * g.n
+    assert t.vertex[:g.n] == list(range(g.n))
+    assert elapsed < 2
 
 
 def test_build_cotree_singleton():

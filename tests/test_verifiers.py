@@ -4,7 +4,8 @@
 `is_greedy` are bottom-up or top-down passes over one cotree with bitmasks.
 These tests run them far beyond the oracle's reach (n <= 6): on a random
 cograph with 2000 vertices and on deep caterpillars, and compare the
-bitmask verifiers with per-edge definitions.
+bitmask verifiers, and the witnesses behind `is_proper` and `is_greedy`,
+with per-edge definitions.
 """
 
 import random
@@ -19,6 +20,7 @@ from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
                         is_binary, is_greedy, is_hc_coloring, is_proper, join,
                         newick_write, random_cograph, realized_graph, realizes,
                         reconstruct_cotree, to_binary, verify_hc)
+from cograph_hc.coloring import _greedy_witness, _improper_edge
 
 
 def caterpillar(levels, leaves_per_level=1):
@@ -132,8 +134,15 @@ def test_is_proper_and_is_greedy_match_edge_definitions(p, seed, changes):
     proper = proper_by_edges(g, c)
     assert is_proper(g, c) == proper
     if proper:
-        assert is_greedy(g, c) == greedy_by_edges(g, c)
+        greedy = greedy_by_edges(g, c)
+        assert is_greedy(g, c) == greedy
+        if not greedy:  # the witness `verify` prints for greedy=no
+            v, i = _greedy_witness(g, c)
+            assert i < c[v]
+            assert all(c[u] != i for u in range(g.n) if g.has_edge(u, v))
     else:
+        u, v = _improper_edge(g, c)  # the witness for proper=no
+        assert u < v and g.has_edge(u, v) and c[u] == c[v]
         with pytest.raises(ValueError, match="not-proper"):
             is_greedy(g, c)
 
