@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -227,6 +228,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     corpus = []
     for n in range(1, args.max_n + 1):
         corpus.extend(exhaustive_cographs(n))
+    start = time.perf_counter()
     threads = os.environ.get("COGRAPH_HC_THREADS", "1")
     try:
         workers = int(threads)
@@ -248,7 +250,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     failed = False
     for rep in reports:
         print(rep.render())
+        if args.verbose:
+            for note in rep.notes[:5]:
+                print(f"  note: {note}")
+            if len(rep.notes) > 5:
+                print(f"  ... {len(rep.notes) - 5} more notes")
+            for ce in rep.counterexamples[:3]:
+                print(f"  counterexample: {ce}")
         failed = failed or not rep.passed
+    if args.verbose:
+        print(f"elapsed: {time.perf_counter() - start:.1f}s", file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -305,6 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--theorems", help="comma-separated theorem ids")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--verbose", action="store_true",
+                   help="print each theorem's first notes and "
+                        "counterexamples, and the time taken on stderr")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("gen", help="seeded random cograph")

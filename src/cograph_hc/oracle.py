@@ -1,17 +1,18 @@
 """Brute-force reference implementations and mechanical theorem checks.
 
-Nothing here shares algorithmic code with the fast paths: chromatic and
-Grundy numbers come from exhaustive search, hc-ness from enumerating every
-binary cotree, greedy-ness from enumerating every vertex order. Size guards
-raise instead of silently taking forever.
+Nothing here shares algorithmic code with the fast paths: cograph-ness,
+chromatic and Grundy numbers come from exhaustive search, the binary
+cotrees of a graph from splitting its vertex set in every way, hc-ness and
+recursive minimality from checking a subset table of color bitmasks
+against every such tree, and greedy-ness from enumerating every vertex
+order. Each check still calls the fast path it tests (`greedy_coloring`,
+`is_greedy`, `is_hc_coloring`, `alg1_color`, the counting functions). Size
+guards raise instead of silently taking forever.
 
 `check_theorems` enumerates each instance once for all checks: the binary
-cotrees and their leaf masks, the proper partitions, greedy's output for
-every vertex order and each coloring's verdicts against every tree are
-shared through `_GraphCtx`.
-Only identical calls are shared: verdicts are memoized on the labeled
-coloring, never on its partition, so no invariance of `verify_hc` is
-assumed that the checks are meant to test.
+cotrees, the proper partitions, greedy's output for every vertex order and
+each coloring's verdicts against every tree are shared through `_GraphCtx`.
+Nothing outlives the instance: no tree or table is kept at module level.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .graph import Graph, bits
-from .cotree import Cotree, P4Witness, build_cotree, chromatic_number
-from .coloring import Coloring, greedy_coloring, is_greedy, is_hc_coloring, \
-    verify_hc
+from .graph import Graph, bits, connected_components, induced_subgraph
+from .cotree import Cotree, P4Witness
+from .coloring import Coloring, greedy_coloring, is_greedy, is_hc_coloring
 from .hc_algorithms import InjectionChooser, alg1_color, count_hc_total, \
     count_hc_wrt
 
@@ -111,182 +111,140 @@ def brute_grundy(g: Graph) -> int:
 # -- exhaustive coloring / cotree enumeration ---------------------------------
 
 def all_min_colorings(g: Graph) -> list[Coloring]:
-    """All proper surjective colorings onto {1..chi(g)}."""
+    """All proper surjective colorings onto {1..chi(g)}, in lexicographic
+    order of their colors in vertex order."""
     if g.n > 7:
         raise ValueError("size-guard: all_min_colorings needs n <= 7")
+    n = g.n
     k = brute_chromatic(g)
-    edges = list(g.edges())
+    earlier = [[u for u in bits(g.adj[v]) if u < v] for v in range(n)]
+    assign = [0] * n
     out = []
-    for assign in itertools.product(range(1, k + 1), repeat=g.n):
-        if len(set(assign)) != k:
-            continue
-        if any(assign[u] == assign[v] for u, v in edges):
-            continue
-        out.append({v: assign[v] for v in range(g.n)})
-    return out
 
-
-def all_set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All partitions of {0..n-1}, each as a tuple of sorted blocks."""
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(v: int, blocks: list[list[int]]) -> None:
+    def place(v: int, used: int) -> None:
         if v == n:
-            out.append(tuple(tuple(b) for b in blocks))
+            if used.bit_count() == k:
+                out.append(dict(enumerate(assign)))
             return
-        for b in blocks:
-            b.append(v)
-            rec(v + 1, blocks)
-            b.pop()
-        blocks.append([v])
-        rec(v + 1, blocks)
-        blocks.pop()
+        forbidden = {assign[u] for u in earlier[v]}
+        for col in range(1, k + 1):
+            if col not in forbidden:
+                assign[v] = col
+                place(v + 1, used | 1 << col)
 
-    rec(0, [])
+    place(0, 0)
     return out
 
 
 def proper_partitions(g: Graph) -> list[Coloring]:
-    """Every proper coloring up to color renaming, as colorings {1..k}."""
+    """Every proper coloring up to color renaming, as colorings {1..k}.
+
+    Vertices are placed in id order, each into every open class that holds
+    none of its neighbors and then into a new class; class i gets color i.
+    """
+    n, adj = g.n, g.adj
+    classes: list[int] = []  # vertex bitset per class, in opening order
     out = []
-    for blocks in all_set_partitions(g.n):
-        c: Coloring = {}
-        for i, block in enumerate(blocks, start=1):
-            for v in block:
-                c[v] = i
-        if all(c[u] != c[v] for u, v in g.edges()):
-            out.append(c)
+
+    def place(v: int) -> None:
+        if v == n:
+            out.append({u: i for i, m in enumerate(classes, start=1)
+                        for u in bits(m)})
+            return
+        for i, m in enumerate(classes):
+            if not adj[v] & m:
+                classes[i] = m | 1 << v
+                place(v + 1)
+                classes[i] = m
+        classes.append(1 << v)
+        place(v + 1)
+        classes.pop()
+
+    place(0)
     return out
 
 
-def _edge_mask(adj: tuple[int, ...], n: int) -> int:
-    mask = 0
-    idx = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if adj[u] >> v & 1:
-                mask |= 1 << idx
-            idx += 1
-    return mask
+class _TreeIndex:
+    """Every binary cotree realizing one graph, by recursive bipartition.
+
+    A vertex set splits into {A, B}, the lowest vertex in A, as a join (1)
+    when every A-B pair is an edge and as a union (0) when none is; any
+    other split realizes nothing. The trees below each vertex set are
+    memoized. Each tree is kept as its shape (nested (label, left, right)
+    tuples over vertex ids) and two bitsets: the ids of its (label, left
+    leaf mask, right leaf mask) triples and of its inner node masks.
+    """
+
+    def __init__(self, g: Graph):
+        if g.n == 0:
+            raise ValueError("empty-graph")
+        if g.n > 7:
+            raise ValueError(
+                "size-guard: binary cotree enumeration needs n <= 7")
+        self.adj = g.adj
+        self.triples: dict[tuple[int, int, int], int] = {}  # -> bit
+        self.node_masks: dict[int, int] = {}  # inner node mask -> bit
+        self._memo: dict[int, list[tuple[int, int, object]]] = {}
+        forms = self._below((1 << g.n) - 1)
+        self.triple_bits = [f[0] for f in forms]
+        self.node_bits = [f[1] for f in forms]
+        self.shapes = [f[2] for f in forms]
+
+    def _below(self, mask: int) -> list[tuple[int, int, object]]:
+        """(triple bits, node bits, shape) of each tree over `mask`, by
+        size of A, then A in lexicographic order, then the trees over A,
+        then those over B."""
+        if mask in self._memo:
+            return self._memo[mask]
+        low = mask & -mask
+        if mask == low:
+            out = [(0, 0, low.bit_length() - 1)]
+        else:
+            out = []
+            rest = list(bits(mask ^ low))
+            for r in range(len(rest)):
+                for extra in itertools.combinations(rest, r):
+                    a = low
+                    for v in extra:
+                        a |= 1 << v
+                    b = mask ^ a
+                    cross = [self.adj[v] & b for v in bits(a)]
+                    if all(x == b for x in cross):
+                        label = 1
+                    elif not any(cross):
+                        label = 0
+                    else:
+                        continue
+                    tbit = self.triples.setdefault((label, a, b),
+                                                   1 << len(self.triples))
+                    nbit = self.node_masks.setdefault(
+                        mask, 1 << len(self.node_masks))
+                    for lt, ln, ls in self._below(a):
+                        for rt, rn, rs in self._below(b):
+                            out.append((lt | rt | tbit, ln | rn | nbit,
+                                        (label, ls, rs)))
+        self._memo[mask] = out
+        return out
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    idx = {}
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            idx[u, v] = k
-            k += 1
-    return idx
+def _to_cotree(shape, names: tuple[str, ...] | None) -> Cotree:
+    """A `Cotree` of a shape, its nodes numbered in postorder."""
+    t = Cotree(names=names)
 
+    def build(s) -> int:
+        if isinstance(s, int):
+            return t.add_leaf(s)
+        label, left, right = s
+        kids = [build(left), build(right)]
+        return t.add_inner(label, kids)
 
-def _topologies(leaves: tuple[int, ...],
-                memo: dict[tuple[int, ...], list]) -> list:
-    """Unordered binary topologies over a labeled leaf set (nested tuples)."""
-    if leaves in memo:
-        return memo[leaves]
-    if len(leaves) == 1:
-        memo[leaves] = [leaves[0]]
-        return memo[leaves]
-    out = []
-    first, rest = leaves[0], leaves[1:]
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            left = (first, *extra)
-            right = tuple(v for v in rest if v not in extra)
-            if not right:
-                continue
-            for tl in _topologies(left, memo):
-                for tr in _topologies(right, memo):
-                    out.append((tl, tr))
-    memo[leaves] = out
-    return out
-
-
-def _count_inner(struct) -> int:
-    if isinstance(struct, int):
-        return 0
-    return 1 + _count_inner(struct[0]) + _count_inner(struct[1])
-
-
-_index_cache: dict[int, dict[int, list[Cotree]]] = {}
-
-
-def _binary_cotree_index(n: int) -> dict[int, list[Cotree]]:
-    """All labeled binary cotrees on leaves 0..n-1, keyed by realized
-    edge mask (pair order (0,1),(0,2),..)."""
-    if n in _index_cache:
-        return _index_cache[n]
-    if n > 7:
-        raise ValueError("size-guard: binary cotree enumeration needs n <= 7")
-    pair = _pair_index(n)
-    index: dict[int, list[Cotree]] = {}
-    topologies = _topologies(tuple(range(n)), {})
-    n_inner = n - 1
-    for struct in topologies:
-        for labelbits in range(1 << n_inner):
-            t = Cotree()
-            counter = itertools.count()
-            edge_mask = 0
-
-            def build(s) -> tuple[int, int]:
-                nonlocal edge_mask
-                if isinstance(s, int):
-                    return t.add_leaf(s), 1 << s
-                label = labelbits >> next(counter) & 1
-                n1, m1 = build(s[0])
-                n2, m2 = build(s[1])
-                if label == 1:
-                    for u in bits(m1):
-                        for v in bits(m2):
-                            edge_mask |= 1 << pair[min(u, v), max(u, v)]
-                return t.add_inner(label, [n1, n2]), m1 | m2
-
-            t.root, _ = build(struct)
-            index.setdefault(edge_mask, []).append(t)
-    _index_cache[n] = index
-    return index
+    t.root = build(shape)
+    return t
 
 
 def all_binary_cotrees(g: Graph) -> list[Cotree]:
     """Every binary cotree (topology + labeling) realizing g."""
-    if g.n == 0:
-        raise ValueError("empty-graph")
-    if g.n == 1:
-        t = Cotree(names=g.names)
-        t.root = t.add_leaf(0)
-        return [t]
-    return list(_binary_cotree_index(g.n).get(_edge_mask(g.adj, g.n), []))
-
-
-# -- direct recursive-minimality (independent of the hc machinery) -------------
-
-def _direct_recursively_minimal(g: Graph, c: Coloring,
-                                trees: list[Cotree],
-                                tree_masks: list[list[int]],
-                                chi_cache: dict[int, int]) -> bool:
-    """Exists an enumerated binary cotree along which every constituent
-    uses exactly its brute-force chromatic number of colors."""
-
-    def chi_of(mask: int) -> int:
-        if mask not in chi_cache:
-            vs = list(bits(mask))
-            sub = Graph(len(vs), [(vs.index(u), vs.index(v))
-                                  for u, v in g.edges()
-                                  if mask >> u & 1 and mask >> v & 1])
-            chi_cache[mask] = brute_chromatic(sub)
-        return chi_cache[mask]
-
-    for t, masks in zip(trees, tree_masks):
-        ok = True
-        for u in t.postorder():
-            used = len({c[v] for v in bits(masks[u])})
-            if used != chi_of(masks[u]):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return [_to_cotree(s, g.names) for s in _TreeIndex(g).shapes]
 
 
 def enumerate_alg1_outputs(g: Graph):
@@ -343,16 +301,24 @@ def _greedy_run(g: Graph, order: tuple[int, ...]) -> tuple[int, ...]:
 class _GraphCtx:
     """Lazily shared per-instance data for the theorem checks.
 
-    Each enumeration (binary cotrees and their leaf masks, proper
-    partitions, greedy runs) runs at most once per instance, and `verdicts`
-    runs `verify_hc` at most once per (labeled coloring, tree) pair.
+    Each enumeration (binary cotrees, proper partitions, greedy runs) runs
+    at most once per instance. The verdicts are a bitmask kernel of their
+    own: a labeled coloring c gets a subset table cs, where cs[S] is the
+    color bitmask of vertex set S, built with one OR per entry. A (label,
+    A, B) triple of the enumerated trees fails K2 at a join when cs[A] and
+    cs[B] meet, and K3 at a union when neither contains the other; tree t
+    accepts c iff its triple bits miss every failing triple. Direct
+    recursive minimality reads the same table: an inner node mask fails
+    when cs[mask] holds another number of colors than its brute-force
+    chromatic number.
+    Tables and answers are memoized on c's colors in vertex order, never
+    on its partition, so only identical questions are shared.
     """
 
     def __init__(self, g: Graph, seed: int):
         self.g = g
         self.seed = seed
-        self._tree = build_cotree(g) if g.n else None
-        self.is_cograph = isinstance(self._tree, Cotree)
+        self.is_cograph = g.n > 0 and find_induced_p4(g) is None
         self._cache: dict[str, object] = {}
 
     def _get(self, key: str, fn):
@@ -365,8 +331,14 @@ class _GraphCtx:
         return self._get("chi", lambda: brute_chromatic(self.g))
 
     @property
+    def index(self) -> _TreeIndex:
+        return self._get("index", lambda: _TreeIndex(self.g))
+
+    @property
     def trees(self) -> list[Cotree]:
-        return self._get("trees", lambda: all_binary_cotrees(self.g))
+        """The enumerated trees as `Cotree`s, in the index's order."""
+        return self._get("trees", lambda: [
+            _to_cotree(s, self.g.names) for s in self.index.shapes])
 
     @property
     def partitions(self) -> list[Coloring]:
@@ -380,14 +352,55 @@ class _GraphCtx:
             order: _greedy_run(self.g, order)
             for order in itertools.permutations(range(self.g.n))})
 
+    def _color_sets(self, key: tuple[int, ...]) -> list[int]:
+        """cs[S], the color bitmask of vertex set S, for every S."""
+        memo = self._get("color_sets", dict)
+        if key not in memo:
+            cs = [0]
+            for col in key:  # the sets holding vertex v follow those below v
+                bit = 1 << col
+                cs += [x | bit for x in cs]
+            memo[key] = cs
+        return memo[key]
+
     def verdicts(self, c: Coloring) -> tuple[bool, ...]:
-        """Per enumerated tree, whether verify_hc accepts c; memoized on
-        c's colors in vertex order, so only identical calls are shared."""
+        """Per enumerated tree, whether c satisfies K2 at its joins and K3
+        at its unions."""
         memo = self._get("verdicts", dict)
         key = tuple(c[v] for v in range(self.g.n))
         if key not in memo:
-            memo[key] = tuple(verify_hc(self.g, t, c, check_tree=False)
-                              .accepted for t in self.trees)
+            cs = self._color_sets(key)
+            failing = 0
+            for (label, a, b), bit in self.index.triples.items():
+                x, y = cs[a], cs[b]
+                if label == 1:
+                    if x & y:  # K2: a join's child color sets are disjoint
+                        failing |= bit
+                elif x | y not in (x, y):  # K3: a union's are nested
+                    failing |= bit
+            memo[key] = tuple(not tb & failing
+                              for tb in self.index.triple_bits)
+        return memo[key]
+
+    @property
+    def node_chis(self) -> list[tuple[int, int, int]]:
+        """(mask, bit, brute-force chromatic number) per inner node mask."""
+        return self._get("node_chis", lambda: [
+            (mask, bit, brute_chromatic(induced_subgraph(self.g, bits(mask))))
+            for mask, bit in self.index.node_masks.items()])
+
+    def recursively_minimal(self, c: Coloring) -> bool:
+        """Direct recursive minimality: some enumerated tree along which
+        every constituent uses exactly its chromatic number of colors."""
+        memo = self._get("minimal", dict)
+        key = tuple(c[v] for v in range(self.g.n))
+        if key not in memo:
+            cs = self._color_sets(key)
+            failing = 0
+            for mask, bit, chi in self.node_chis:
+                if cs[mask].bit_count() != chi:
+                    failing |= bit
+            memo[key] = any(not nb & failing for nb in self.index.node_bits)
         return memo[key]
 
     @property
@@ -395,21 +408,6 @@ class _GraphCtx:
         """Per partition: accepted by at least one enumerated cotree."""
         return self._get("accepted_mask", lambda: [
             any(self.verdicts(c)) for c in self.partitions])
-
-    @property
-    def tree_masks(self) -> list[list[int]]:
-        """Per enumerated tree, its leaf masks."""
-        return self._get("tree_masks",
-                         lambda: [t.leaf_masks() for t in self.trees])
-
-    @property
-    def chi_cache(self) -> dict[int, int]:
-        return self._get("chi_cache", dict)
-
-
-def _components_of(g: Graph) -> list[tuple[int, ...]]:
-    from .graph import connected_components
-    return connected_components(g)
 
 
 def check_theorems(corpus: list[Graph], theorems: list[str] | None = None,
@@ -469,14 +467,8 @@ def _check_l2(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         orders = [tuple(rng.sample(pool, g.n)) for _ in range(200)]
         runs = [(order, _greedy_run(g, order)) for order in orders]
         rep.notes.append(f"instance {idx}: sampled 200 orders")
-    comps = _components_of(g)
-    comp_chi = []
-    for comp in comps:
-        vs = list(comp)
-        sub = Graph(len(vs), [(vs.index(u), vs.index(v))
-                              for u, v in g.edges()
-                              if u in comp and v in comp])
-        comp_chi.append(brute_chromatic(sub))
+    comps = connected_components(g)
+    comp_chi = [brute_chromatic(induced_subgraph(g, comp)) for comp in comps]
     for order, flat in runs:
         if len(set(flat)) != ctx.chi:
             rep.counterexamples.append((idx, order, "gamma>chi"))
@@ -497,9 +489,9 @@ def _check_l3(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         return
     for flat in set(ctx.greedy_runs.values()):
         verdicts = ctx.verdicts(dict(enumerate(flat)))
-        for t, accepted in zip(ctx.trees, verdicts):
+        for i, accepted in enumerate(verdicts):
             if not accepted:
-                rep.counterexamples.append((idx, flat, t))
+                rep.counterexamples.append((idx, flat, ctx.trees[i]))
     rep.checked += 1
 
 
@@ -561,8 +553,7 @@ def _check_t3(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         return
     for c, brute in zip(ctx.partitions, ctx.accepted_mask):
         fast = is_hc_coloring(g, c).accepted
-        direct = _direct_recursively_minimal(g, c, ctx.trees,
-                                             ctx.tree_masks, ctx.chi_cache)
+        direct = ctx.recursively_minimal(c)
         if not (fast == brute == direct):
             rep.counterexamples.append((idx, c, fast, brute, direct))
     rep.checked += 1
@@ -583,8 +574,7 @@ def _check_t4(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         c, _ = alg1_color(g, chooser)
         if not is_hc_coloring(g, c).accepted:
             rep.counterexamples.append((idx, chooser.strategy, c))
-        elif g.n <= 6 and not _direct_recursively_minimal(
-                g, c, ctx.trees, ctx.tree_masks, ctx.chi_cache):
+        elif g.n <= 6 and not ctx.recursively_minimal(c):
             rep.counterexamples.append((idx, chooser.strategy, c, "direct"))
     if g.n <= 5:
         produced = {_partition_key(c, g.n) for c in enumerate_alg1_outputs(g)}

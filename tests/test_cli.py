@@ -255,3 +255,140 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert main(["gen", "--n", "8", "--seed", "5",
                  "--graph-out", str(gout2)]) == 0
     assert gout2.read_text() == text
+
+
+def test_check_verbose_prints_notes_counterexamples_and_time(capsys):
+    assert main(["check", "--max-n", "5", "--theorems", "T-greedy-iff",
+                 "--verbose"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "THEOREM T-greedy-iff FAIL checked=535 counterexamples=120"
+    assert len(lines) == 4
+    # instance 84 is the paw plus an isolated vertex: triangle 0, 1, 2,
+    # pendant 3 on 0, isolated 4; its classes {0}, {1,4}, {2,3} pass every
+    # binary cotree, but no greedy run gives them
+    assert ("  counterexample: (84, 'hc-everywhere-not-greedy', "
+            "[[0], [1, 4], [2, 3]])") in lines
+    assert captured.err.startswith("elapsed: ")
+    assert main(["check", "--max-n", "5", "--theorems", "T-greedy-iff"]) == 1
+    assert capsys.readouterr() == (lines[0] + "\n", "")
+
+
+def test_check_verbose_caps_the_notes(capsys):
+    assert main(["check", "--max-n", "4", "--theorems", "COUNT",
+                 "--verbose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("THEOREM COUNT PASS")
+    assert len(lines) == 7
+    assert all(line.startswith("  note: instance ") for line in lines[1:6])
+    assert lines[6].startswith("  ... ") and lines[6].endswith(" more notes")
+
+
+def _fuzz_inputs():
+    """An 8-vertex named cograph, a binary cotree of it and an alg1
+    coloring, as the text of the three file formats."""
+    from cograph_hc import (GenParams, Graph, alg1_color, build_cotree,
+                            newick_write, random_cograph, to_binary,
+                            write_coloring, write_edge_list)
+    g, _ = random_cograph(GenParams(n=8, seed=3))
+    g = Graph(8, list(g.edges()), names=tuple("abcdefgh"))
+    tree = newick_write(to_binary(build_cotree(g))) + "\n"
+    coloring = write_coloring(g, alg1_color(g)[0])
+    return write_edge_list(g), coloring, tree
+
+
+def _variants(text, seed):
+    """The text cut off at every byte, then 200 copies with one byte
+    replaced by a seeded random byte."""
+    import random
+    data = text.encode()
+    rng = random.Random(seed)
+    out = [data[:i] for i in range(len(data))]
+    for _ in range(200):
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] = rng.randrange(256)
+        out.append(bytes(flipped))
+    return out
+
+
+def test_fuzzed_files_never_escape_main(tmp_path, monkeypatch):
+    # every subcommand, fed truncated and byte-flipped files: the return
+    # code is 0, 1 or 2, and no exception but SystemExit gets out of main
+    import contextlib
+    import functools
+    import time
+    from cograph_hc import cli
+    # one parser for all the runs: building it is most of a tiny run
+    monkeypatch.setattr(cli, "_build_parser",
+                        functools.lru_cache(cli._build_parser))
+    graph, coloring, tree = _fuzz_inputs()
+    paths = {name: tmp_path / name for name in ("g.txt", "c.txt", "t.nwk")}
+    for name, text in zip(paths, (graph, coloring, tree)):
+        paths[name].write_text(text)
+    g, c, t = (str(p) for p in paths.values())
+    out = str(tmp_path / "out")
+    by_file = {
+        "g.txt": [["recognize", g], ["cotree", g, "--binary", "left-comb"],
+                  ["color", g], ["color", g, "--method", "greedy",
+                                 "--order", "a,b,c,d,e,f,g,h"],
+                  ["verify", g, c], ["verify", g, c, "--cotree", t],
+                  ["count", g], ["count", g, "--cotree", t]],
+        "c.txt": [["verify", g, c], ["verify", g, c, "--cotree", t]],
+        "t.nwk": [["cotree", t, "--realize"],
+                  ["verify", g, c, "--cotree", t], ["count", g, "--cotree", t]],
+    }
+    fixed = [["check", "--max-n", "2"], ["check", "--max-n", "9"],
+             ["check", "--max-n", "2", "--theorems", "T1,,T3"],
+             ["gen", "--n", "8", "--graph-out", out, "--cotree-out", out],
+             ["gen", "--n", "0"], ["gen", "--n", "5", "--max-arity", "1"],
+             ["color", g, "--method", "greedy", "--order", "a,b"],
+             ["cotree", g, "-o", str(tmp_path)]]
+
+    def run(argv, data=None):
+        sink = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(sink), \
+                    contextlib.redirect_stderr(sink):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # any other escape is the failure sought
+            pytest.fail(f"{argv} on {data!r} raised {exc!r}")
+        assert code in (0, 1, 2), (argv, data, code, sink.getvalue())
+
+    start = time.perf_counter()
+    for argv in fixed:
+        run(argv)
+    for seed, (name, commands) in enumerate(by_file.items()):
+        original = paths[name].read_bytes()
+        for data in _variants(original.decode(), seed):
+            paths[name].write_bytes(data)
+            for argv in commands:
+                run(argv, data)
+        paths[name].write_bytes(original)
+    assert time.perf_counter() - start < 10
+
+
+def test_malformed_inputs_exit_2_with_one_line(files, capsys):
+    g2 = files("g2.txt", "n 2\n0 1\n")
+    ok_coloring = files("c2.txt", "v0\t1\nv1\t2\n")
+    cases = [
+        ["recognize", files("loop.txt", "n 3\n0 0\n")],
+        ["recognize", files("range.txt", "n 3\n0 5\n")],
+        ["recognize", files("neg.txt", "n -1\n")],
+        ["recognize", files("dup.txt", "n 2\nnames a a\n")],
+        ["verify", g2, files("word.txt", "v0\tx\nv1\t1\n")],
+        ["verify", g2, files("twice.txt", "v0\t1\nv0\t2\nv1\t1\n")],
+        ["verify", g2, files("miss.txt", "v0\t1\n")],
+        ["verify", g2, ok_coloring, "--cotree", files("t.nwk", "(v0,zz)1;")],
+        ["count", g2, "--cotree", files("t2.nwk", "(v0,zz)1;")],
+        ["gen", "--n", "0"],
+        ["gen", "--n", "5", "--max-arity", "1"],
+        ["check", "--max-n", "9"],
+        ["color", g2, "--method", "greedy", "--order", "v0"],
+    ]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), (argv, out, err)
+        assert err.count("\n") == 1, (argv, err)

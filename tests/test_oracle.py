@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -51,8 +52,56 @@ def test_all_min_colorings():
 
 
 def test_all_set_partitions_bell_numbers():
+    # on an edgeless graph every set partition is proper
     for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)]:
-        assert len(oracle.all_set_partitions(n)) == bell
+        assert len(oracle.proper_partitions(Graph(n))) == bell
+
+
+def _reference_set_partitions(n):
+    """Every partition of {0..n-1} as sorted blocks, each vertex joining
+    the open blocks in order and then a new one."""
+    out = []
+
+    def rec(v, blocks):
+        if v == n:
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(v)
+            rec(v + 1, blocks)
+            b.pop()
+        blocks.append([v])
+        rec(v + 1, blocks)
+        blocks.pop()
+
+    rec(0, [])
+    return out
+
+
+def test_colorings_are_generated_in_the_filtered_order():
+    # proper_partitions and all_min_colorings prune their search; they
+    # must give the same colorings, in the same order and with the same
+    # dict order, as filtering every set partition or every assignment
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        partitions = _reference_set_partitions(n)
+        for mask in range(1 << len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            g = Graph(n, edges)
+            expect = []
+            for blocks in partitions:
+                c = {v: i for i, b in enumerate(blocks, start=1) for v in b}
+                if all(c[u] != c[v] for u, v in edges):
+                    expect.append(list(c.items()))
+            assert [list(c.items())
+                    for c in oracle.proper_partitions(g)] == expect
+            k = oracle.brute_chromatic(g)
+            expect = [list(enumerate(a))
+                      for a in itertools.product(range(1, k + 1), repeat=n)
+                      if len(set(a)) == k
+                      and all(a[u] != a[v] for u, v in edges)]
+            assert [list(c.items())
+                    for c in oracle.all_min_colorings(g)] == expect
 
 
 def test_all_binary_cotrees(k2_k1_k1):
@@ -71,9 +120,82 @@ def test_all_binary_cotrees(k2_k1_k1):
 
 
 def test_binary_cotree_enumeration_is_exhaustive():
-    # (2n-3)!! topologies x 2^(n-1) labelings, grouped by realized graph
-    index = oracle._binary_cotree_index(4)
-    assert sum(len(v) for v in index.values()) == 15 * 8
+    # (2n-3)!! topologies x 2^(n-1) labelings, each realizing one graph
+    from cograph_hc import realizes
+    pairs = list(itertools.combinations(range(4), 2))
+    total = 0
+    for mask in range(1 << 6):
+        g = Graph(4, [pairs[i] for i in range(6) if mask >> i & 1])
+        trees = oracle.all_binary_cotrees(g)
+        assert all(realizes(t, g) for t in trees)
+        assert len({newick_write(t) for t in trees}) == len(trees)
+        total += len(trees)
+    assert total == 15 * 8
+
+
+def _reference_cotree_index(n):
+    """Every labeled binary cotree on leaves 0..n-1 as Newick text, grouped
+    by the adjacency of the graph it realizes: all (2n-3)!! topologies,
+    each with all 2^(n-1) labelings. The oracle kept this index for the
+    whole process before it enumerated the trees of each graph on its
+    own."""
+    memo = {}
+
+    def topologies(leaves):
+        if leaves not in memo:
+            if len(leaves) == 1:
+                memo[leaves] = [leaves[0]]
+            else:
+                out = []
+                first, rest = leaves[0], leaves[1:]
+                for r in range(len(rest)):
+                    for extra in itertools.combinations(rest, r):
+                        left = (first, *extra)
+                        right = tuple(v for v in rest if v not in extra)
+                        out.extend((tl, tr) for tl in topologies(left)
+                                   for tr in topologies(right))
+                memo[leaves] = out
+        return memo[leaves]
+
+    index = {}
+    for struct in topologies(tuple(range(n))):
+        for labelbits in range(1 << (n - 1)):
+            labels = iter(range(n - 1))
+            adj = [0] * n
+
+            def build(s):
+                if isinstance(s, int):
+                    return f"v{s}", 1 << s
+                label = labelbits >> next(labels) & 1
+                (t1, m1), (t2, m2) = build(s[0]), build(s[1])
+                if label:
+                    for u in range(n):
+                        if m1 >> u & 1:
+                            adj[u] |= m2
+                        elif m2 >> u & 1:
+                            adj[u] |= m1
+                return f"({t1},{t2}){label}", m1 | m2
+
+            text, _ = build(struct)
+            index.setdefault(tuple(adj), []).append(text + ";")
+    return index
+
+
+def test_per_graph_enumeration_matches_the_global_index():
+    # the same trees, in the same order, on every graph with n <= 5
+    # (non-cographs have none) and on every 50th cograph with n = 6
+    for n in range(1, 6):
+        index = _reference_cotree_index(n)
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [pairs[i] for i in range(len(pairs))
+                          if mask >> i & 1])
+            assert [newick_write(t) for t in oracle.all_binary_cotrees(g)] \
+                == index.get(g.adj, [])
+    index = _reference_cotree_index(6)
+    for g in list(exhaustive_cographs(6))[::50]:
+        assert [newick_write(t) for t in oracle.all_binary_cotrees(g)] \
+            == index[g.adj]
 
 
 def test_check_theorems_skips_non_cographs():
@@ -136,28 +258,85 @@ def test_report_render_contract():
 
 
 def test_sweep_runs_greedy_and_verify_hc_once_per_distinct_call(monkeypatch):
-    # each instance's greedy runs and cotree verdicts are enumerated once
-    # and shared by every check that needs them
+    # each instance's greedy runs are enumerated once and shared by every
+    # check that needs them; the tree verdicts come from the oracle's own
+    # kernel, so verify_hc, which they are meant to check, is never called
+    import cograph_hc
+    from cograph_hc import coloring
     corpus = [g for n in range(1, 5) for g in exhaustive_cographs(n)]
     greedy_calls: Counter = Counter()
-    verify_calls: Counter = Counter()
-    greedy, verify = oracle.greedy_coloring, oracle.verify_hc
+    verify_calls = []
+    greedy, verify = oracle.greedy_coloring, coloring.verify_hc
 
     def counting_greedy(g, order):
         greedy_calls[g] += 1
         return greedy(g, order)
 
-    def counting_verify(g, t, c, check_tree=True):
-        verify_calls[g, tuple(c[v] for v in range(g.n)), id(t)] += 1
-        return verify(g, t, c, check_tree)
+    def counting_verify(*args, **kwargs):
+        verify_calls.append(args)
+        return verify(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "greedy_coloring", counting_greedy)
-    monkeypatch.setattr(oracle, "verify_hc", counting_verify)
+    monkeypatch.setattr(coloring, "verify_hc", counting_verify)
+    monkeypatch.setattr(cograph_hc, "verify_hc", counting_verify)
     reports = oracle.check_theorems(corpus)
     assert all(r.passed and r.checked == len(corpus) for r in reports)
     assert set(greedy_calls) == set(corpus)
     assert all(k <= math.factorial(g.n) for g, k in greedy_calls.items())
-    assert verify_calls and max(verify_calls.values()) == 1
+    assert verify_calls == [] and not hasattr(oracle, "verify_hc")
+
+
+def test_verify_hc_agrees_with_the_oracle_kernel(small_cographs):
+    # verify_hc against the kernel's verdicts on every (proper partition,
+    # tree) and (minimum coloring, tree) pair with n <= 5; a rejection must
+    # name an inner node, the color sets of its two children, and a real
+    # K2 (join, sets meet) or K3 (union, neither set holds the other)
+    from cograph_hc import verify_hc
+    from cograph_hc.graph import bits
+    pairs = 0
+    for g in small_cographs:
+        ctx = oracle._GraphCtx(g, 0)
+        trees = ctx.trees
+        masks = [t.leaf_masks() for t in trees]
+        for c in ctx.partitions + oracle.all_min_colorings(g):
+            for t, m, kernel in zip(trees, masks, ctx.verdicts(c)):
+                pairs += 1
+                verdict = verify_hc(g, t, c, check_tree=False)
+                assert verdict.accepted == kernel, (g, t, c)
+                if kernel:
+                    continue
+                u = verdict.node
+                assert not t.is_leaf(u), (g, t, c)
+                a, b = ({c[v] for v in bits(m[k])} for k in t.children[u])
+                assert verdict.sets == (frozenset(a), frozenset(b))
+                if verdict.axiom == "K2":
+                    assert t.label[u] == 1 and a & b, (g, t, c)
+                else:
+                    assert verdict.axiom == "K3" and t.label[u] == 0
+                    assert not (a <= b or b <= a), (g, t, c)
+    assert pairs > 10_000
+
+
+def test_sweep_keeps_no_trees_once_it_returns():
+    # nothing the sweep enumerates outlives it: after the two checks that
+    # read every tree, on 100 cographs with n = 6, and with the reports
+    # dropped, under 2 MB is held
+    import gc
+    import tracemalloc
+    corpus = list(exhaustive_cographs(6))[::55][:100]
+    assert len(corpus) == 100
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = oracle.check_theorems(corpus, ["T1", "COUNT"])
+        assert all(r.checked == 100 for r in reports)
+        del reports
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2**20, held
 
 
 def test_l2_draws_the_same_sampled_orders_at_n6(monkeypatch):
