@@ -9,6 +9,7 @@ default 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -275,6 +276,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # one parser serves every call of main
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cograph-hc",

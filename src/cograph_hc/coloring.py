@@ -173,61 +173,77 @@ def verify_hc(g: Graph, t: Cotree, c: Coloring,
                 failures.append((u, "K3", m1, m2))
     if not failures:
         return Verdict(True)
-    # tie-break only when needed: deepest failing node, ties leftmost
+    # deepest failing node: failures are in postorder, which lists nodes of
+    # equal depth left to right, and max() keeps the first maximum
     depth = [0] * t.n_nodes()
-    preorder = [0] * t.n_nodes()
-    stack = [t.root]
-    i = 0
-    while stack:
-        u = stack.pop()
-        preorder[u] = i
-        i += 1
-        for ch in reversed(children[u]):
+    for u in reversed(t.postorder()):
+        for ch in children[u]:
             depth[ch] = depth[u] + 1
-            stack.append(ch)
-    node, axiom, m1, m2 = min(failures,
-                              key=lambda f: (-depth[f[0]], preorder[f[0]]))
+    node, axiom, m1, m2 = max(failures, key=lambda f: depth[f[0]])
     return Verdict(False, node=node, axiom=axiom,
                    sets=(_colors(m1, palette), _colors(m2, palette)))
 
 
 # -- existential decision (over all binary cotrees) ---------------------------
 
-def is_hc_coloring(g: Graph, c: Coloring) -> Verdict:
-    """Decide whether c is an hc-coloring w.r.t. some binary cotree.
+def _hc_refinement(g: Graph, c: Coloring) -> tuple[Cotree, Verdict]:
+    """A binary refinement of g's discriminating cotree on which c is hc if
+    it is hc w.r.t. any binary cotree, and the verdict on it.
 
-    One bottom-up pass over the discriminating cotree with color bitmasks.
-    A join needs pairwise disjoint child color sets: then every binary
-    refinement of it satisfies K2. A union needs one child whose color set
-    equals the union of all of them: refining it with that child last
-    satisfies K3. The first failing node in postorder is reported.
+    One bottom-up pass with color bitmasks: a join becomes a right comb in
+    child order, a union one in stable ascending order of color-set size.
+    At each comb node the first child's set must be disjoint from (join,
+    K2) or contained in (union, K3) the rest's; a rejection carries both
+    sets of the first failing comb node in preorder.
     """
     _check_domain(g, c)
     t = build_cotree(g)
     if isinstance(t, P4Witness):
         raise NotACographError(t)
     bit, palette = _color_bits(c)
-    masks = [0] * t.n_nodes()
-    for u in range(t.n_nodes()):  # build_cotree numbers nodes in postorder
+    out = Cotree(names=g.names)
+    n_nodes = t.n_nodes()
+    built = [0] * n_nodes
+    masks = [0] * n_nodes
+    # per node, the first failing comb node in preorder below it
+    fail: list[tuple[int, int, int] | None] = [None] * n_nodes
+    for u in range(n_nodes):  # build_cotree numbers nodes in postorder
         if t.is_leaf(u):
+            built[u] = out.add_leaf(t.vertex[u])
             masks[u] = bit[t.vertex[u]]
             continue
-        kids = [masks[k] for k in t.children[u]]
-        union = 0
-        for i, m in enumerate(kids):
-            if t.label[u] == 1 and union & m:
-                j = next(j for j in range(i) if kids[j] & m)
-                return Verdict(False, axiom="K2", sets=(
-                    _colors(kids[j], palette), _colors(m, palette)))
-            union |= m
-        if t.label[u] == 0:
-            big = max(kids, key=int.bit_count)
-            if big != union:
-                m = next(m for m in kids if m & ~big)
-                return Verdict(False, axiom="K3", sets=(
-                    _colors(m, palette), _colors(big, palette)))
-        masks[u] = union
-    return Verdict(True)
+        label = t.label[u]
+        kids = t.children[u]
+        if label == 0:
+            kids = sorted(kids, key=lambda k: masks[k].bit_count())
+        acc, rest, first = built[kids[-1]], masks[kids[-1]], fail[kids[-1]]
+        for k in reversed(kids[:-1]):  # comb nodes from the bottom up
+            m = masks[k]
+            first = fail[k] or first
+            if (m & rest) if label == 1 else (m & ~rest):
+                first = (label, m, rest)
+            acc = out.add_inner(label, [built[k], acc])
+            rest |= m
+        built[u], masks[u], fail[u] = acc, rest, first
+    out.root = built[t.root]
+    if fail[t.root] is None:
+        return out, Verdict(True)
+    label, m, rest = fail[t.root]
+    return out, Verdict(False, axiom="K2" if label == 1 else "K3",
+                        sets=(_colors(m, palette), _colors(rest, palette)))
+
+
+def is_hc_coloring(g: Graph, c: Coloring) -> Verdict:
+    """Decide whether c is an hc-coloring w.r.t. some binary cotree.
+
+    A join needs pairwise disjoint child color sets, a union one child set
+    equal to the union of all. Both are decided on the refinement
+    `reconstruct_cotree` returns (`_hc_refinement`). The certificate is the
+    (first, rest) pair of its first failing comb node in preorder: sets
+    that meet (K2), or neither containing the other (K3; rest is the
+    larger). `verify` prints this pair for hc=no.
+    """
+    return _hc_refinement(g, c)[1]
 
 
 def is_recursively_minimal(g: Graph, c: Coloring) -> bool:

@@ -128,19 +128,6 @@ class Cotree:
                 masks[u] = m
         return masks
 
-    def leaf_lists(self) -> list[list[int]]:
-        """Per node, list of graph vertices below it (left to right)."""
-        lists: list[list[int]] = [[] for _ in range(self.n_nodes())]
-        for u in self.postorder():
-            if self.is_leaf(u):
-                lists[u] = [self.vertex[u]]
-            else:
-                acc: list[int] = []
-                for c in self.children[u]:
-                    acc.extend(lists[c])
-                lists[u] = acc
-        return lists
-
     def vertex_names(self, n: int | None = None) -> tuple[str, ...]:
         if self.names is not None:
             return self.names
@@ -354,25 +341,36 @@ def is_discriminating(t: Cotree) -> bool:
 
 
 def make_discriminating(t: Cotree) -> Cotree:
-    """Contract every inner edge with equal labels; canonical child order."""
+    """Contract every inner edge with equal labels; canonical child order.
+
+    A top-down pass maps each node to the kept node it is contracted into;
+    kept nodes are built in postorder, children by smallest vertex."""
     order = t.postorder()
-    front: dict[int, list[int]] = {}  # children after contraction
+    label, children = t.label, t.children
+    low = [0] * t.n_nodes()  # smallest vertex below each node
     for u in order:
-        if not t.is_leaf(u):
-            front[u] = [x for c in t.children[u] for x in
-                        (front[c] if t.label[c] == t.label[u] else [c])]
-    keep = {t.root}.union(*front.values())
-    masks = t.leaf_masks()
+        low[u] = (t.vertex[u] if label[u] == LEAF
+                  else min(low[c] for c in children[u]))
+    into = {t.root: t.root}  # node -> the kept node it is contracted into
+    kids: dict[int, list[int]] = {t.root: []}  # kept node -> kept children
+    for u in reversed(order):
+        for c in children[u]:
+            if label[c] == label[u]:
+                into[c] = into[u]
+            else:
+                into[c] = c
+                kids[c] = []
+                kids[into[u]].append(c)
     out = Cotree(names=t.names)
     built: dict[int, int] = {}
     for u in order:
-        if u not in keep:
+        if u not in kids:
             continue
-        if t.is_leaf(u):
+        if label[u] == LEAF:
             built[u] = out.add_leaf(t.vertex[u])
         else:
-            kids = sorted(front[u], key=lambda x: masks[x] & -masks[x])
-            built[u] = out.add_inner(t.label[u], [built[x] for x in kids])
+            kids[u].sort(key=low.__getitem__)
+            built[u] = out.add_inner(label[u], [built[x] for x in kids[u]])
     out.root = built[t.root]
     return out
 

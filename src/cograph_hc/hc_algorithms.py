@@ -21,8 +21,8 @@ from typing import Callable
 
 from .graph import Graph
 from .cotree import (Cotree, P4Witness, NotACographError, build_cotree,
-                     is_binary, node_chromatic_numbers, realizes)
-from .coloring import Coloring, _color_bits, _colors
+                     is_binary, realizes)
+from .coloring import Coloring, _hc_refinement
 
 
 class NotHcColoringError(ValueError):
@@ -83,26 +83,39 @@ def _canonical_rename(sigma: list[int]) -> Coloring:
 
 def _recolor_bottom_up(g: Graph, t: Cotree,
                        chooser: InjectionChooser) -> Coloring:
-    """Shared core: groups at a 0-node are the child subtrees of t."""
+    """Shared core: groups at a 0-node are the child subtrees of t.
+
+    Vertex v starts with color v + 1. Each pending subtree keeps the sorted
+    tuple of its colors, of length its chromatic number: (v + 1,) at a leaf,
+    the merge of the children at a join, and at a union its first longest
+    child's, into which the others are injected. A mapped color leaves use,
+    so `recolored` maps each color once and is resolved once at the end.
+    Join merges copy colors: a caterpillar costs the sum of its chi's.
+    """
     rng = random.Random(chooser.seed)
-    sigma = [v + 1 for v in range(g.n)]
-    leaves = t.leaf_lists()
-    chi = node_chromatic_numbers(t)
+    recolored: dict[int, int] = {}
+    pending: list[tuple[int, ...]] = []
     for u in t.postorder():
-        if t.label[u] != 0:
+        k = len(t.children[u])
+        if k == 0:
+            pending.append((t.vertex[u] + 1,))
             continue
-        kids = t.children[u]
-        best = max(range(len(kids)), key=lambda i: chi[kids[i]])
+        sets = pending[-k:]
+        del pending[-k:]
+        if t.label[u] == 1:
+            pending.append(tuple(sorted([x for s in sets for x in s])))
+            continue
         # max() keeps the first maximum: canonical tie-break
-        target = tuple(sorted({sigma[x] for x in leaves[kids[best]]}))
-        for i, k in enumerate(kids):
-            if i == best:
-                continue
-            source = tuple(sorted({sigma[x] for x in leaves[k]}))
-            phi = chooser._choose(rng, source, target)
-            for x in leaves[k]:
-                sigma[x] = phi[sigma[x]]
-    return _canonical_rename(sigma)
+        best = max(range(k), key=lambda i: len(sets[i]))
+        for i, source in enumerate(sets):
+            if i != best:
+                recolored.update(chooser._choose(rng, source, sets[best]))
+        pending.append(sets[best])
+    for x in reversed(recolored):  # later maps are resolved first
+        y = recolored[x]
+        recolored[x] = recolored.get(y, y)
+    return _canonical_rename([recolored.get(v + 1, v + 1)
+                              for v in range(g.n)])
 
 
 def alg1_color(g: Graph,
@@ -126,51 +139,13 @@ def alg2_color(g: Graph, t: Cotree,
 # -- binary cotree reconstruction from an hc-colored cograph -------------------
 
 def reconstruct_cotree(g: Graph, c: Coloring) -> Cotree:
-    """Recover a binary cotree witnessing that c is an hc-coloring.
-
-    One bottom-up pass refines the discriminating cotree of g, with color
-    bitmasks: a join becomes a right comb in child order, a union a right
-    comb in stable ascending order of child color-set size, so the set
-    that must contain the others comes last. At each comb node the first
-    child's color set must be disjoint from (join) or contained in (union)
-    the rest's; otherwise NotHcColoringError carries both sets, for the
-    first failing comb node in preorder.
-    """
-    if set(c) != set(range(g.n)):
-        raise ValueError("coloring-domain-mismatch")
-    t = build_cotree(g)
-    if isinstance(t, P4Witness):
-        raise NotACographError(t)
-    bit, palette = _color_bits(c)
-    out = Cotree(names=g.names)
-    n_nodes = t.n_nodes()
-    built = [0] * n_nodes
-    masks = [0] * n_nodes
-    # per node, the first failing comb node in preorder below it
-    fail: list[tuple[int, int] | None] = [None] * n_nodes
-    for u in range(n_nodes):  # build_cotree numbers nodes in postorder
-        if t.is_leaf(u):
-            built[u] = out.add_leaf(t.vertex[u])
-            masks[u] = bit[t.vertex[u]]
-            continue
-        label = t.label[u]
-        kids = t.children[u]
-        if label == 0:
-            kids = sorted(kids, key=lambda k: masks[k].bit_count())
-        acc, rest, first = built[kids[-1]], masks[kids[-1]], fail[kids[-1]]
-        for k in reversed(kids[:-1]):  # comb nodes from the bottom up
-            m = masks[k]
-            first = fail[k] or first
-            if (m & rest) if label == 1 else (m & ~rest):
-                first = (m, rest)
-            acc = out.add_inner(label, [built[k], acc])
-            rest |= m
-        built[u], masks[u], fail[u] = acc, rest, first
-    if fail[t.root]:
-        m, rest = fail[t.root]
-        raise NotHcColoringError((_colors(m, palette), _colors(rest, palette)))
-    out.root = built[t.root]
-    return out
+    """Recover a binary cotree witnessing that c is an hc-coloring: the
+    refinement `is_hc_coloring` decides on (see `_hc_refinement`). Else
+    NotHcColoringError carries the sets of `is_hc_coloring`'s verdict."""
+    t, verdict = _hc_refinement(g, c)
+    if not verdict:
+        raise NotHcColoringError(verdict.sets)
+    return t
 
 
 # -- counting -------------------------------------------------------------------

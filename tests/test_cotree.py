@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -262,6 +263,24 @@ def test_make_discriminating_contracts_caterpillar():
     assert is_discriminating(d)
     assert len(d.children[d.root]) == 4
     assert realized_graph(d).adj == realized_graph(t).adj
+
+
+def test_make_discriminating_contracts_a_long_comb():
+    # a binary join comb of 2*10^4 leaves contracts into one star; copying
+    # each node's contracted child list up the comb took 15 s and 1.8 GB
+    star = Cotree()
+    star.root = star.add_inner(1, [star.add_leaf(v) for v in range(20000)])
+    comb = to_binary(star)
+    start = time.perf_counter()
+    assert make_discriminating(comb) == star
+    assert time.perf_counter() - start < 2
+    tracemalloc.start()
+    try:
+        make_discriminating(comb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 << 20
 
 
 def test_make_discriminating_fixed_point(k2_k1_k1):

@@ -1,15 +1,19 @@
 import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 
-from cograph_hc import (Cotree, Graph, InjectionChooser, NotACographError,
-                        NotHcColoringError, alg1_color, alg2_color,
-                        build_cotree, count_hc_total, count_hc_wrt,
-                        g_injections, is_hc_coloring, is_recursively_minimal,
-                        newick_read, realizes, reconstruct_cotree, to_binary,
-                        verify_hc)
-from cograph_hc.cotree import align_to_graph
+from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
+                        NotACographError, NotHcColoringError, alg1_color,
+                        alg2_color, build_cotree, count_hc_total,
+                        count_hc_wrt, g_injections, is_hc_coloring,
+                        is_recursively_minimal, newick_read, random_cograph,
+                        realized_graph, realizes, reconstruct_cotree,
+                        to_binary, verify_hc)
+from cograph_hc.cotree import align_to_graph, node_chromatic_numbers
+from cograph_hc.hc_algorithms import _canonical_rename
 from cograph_hc.oracle import (all_binary_cotrees, brute_chromatic,
                                enumerate_alg1_outputs, proper_partitions)
 
@@ -71,6 +75,99 @@ def test_alg2_join_rooted_skips_recoloring():
     k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
     c = alg2_color(k3, build_cotree(k3))
     assert c == {0: 1, 1: 2, 2: 3}
+
+
+# -- the recoloring pass against the leaf-list recoloring it replaced ----------
+
+def leaf_list_recolor(g, t, chooser):
+    """Reference: at each union in postorder, read the colors below every
+    child from per-node vertex lists, pick the first child of maximum
+    chromatic number, and rewrite every vertex of each other child through
+    its injection."""
+    rng = random.Random(chooser.seed)
+    sigma = [v + 1 for v in range(g.n)]
+    chi = node_chromatic_numbers(t)
+    leaves = [[] for _ in range(t.n_nodes())]
+    for u in t.postorder():
+        kids = t.children[u]
+        leaves[u] = ([t.vertex[u]] if not kids
+                     else [x for k in kids for x in leaves[k]])
+        if t.label[u] != 0:
+            continue
+        best = max(range(len(kids)), key=lambda i: chi[kids[i]])
+        target = tuple(sorted({sigma[x] for x in leaves[kids[best]]}))
+        for i, k in enumerate(kids):
+            if i != best:
+                source = tuple(sorted({sigma[x] for x in leaves[k]}))
+                phi = chooser._choose(rng, source, target)
+                for x in leaves[k]:
+                    sigma[x] = phi[sigma[x]]
+    return _canonical_rename(sigma)
+
+
+def choosers(seed):
+    """One chooser per strategy; the callback draws from its own rng."""
+    rng = random.Random(seed)
+    return [InjectionChooser("identity-prefix"),
+            InjectionChooser("seeded-random", seed=seed),
+            InjectionChooser("exhaustive-callback", callback=lambda s, t: dict(
+                zip(s, rng.sample(t, len(s)))))]
+
+
+def traced(recolor, g, t, seed):
+    """Per strategy, the coloring and the chooser's (source, target)
+    calls."""
+    out = []
+    for chooser in choosers(seed):
+        calls = []
+        choose = InjectionChooser._choose
+
+        def spy(self, rng, source, target):
+            calls.append((source, target))
+            return choose(self, rng, source, target)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(InjectionChooser, "_choose", spy)
+            out.append((recolor(g, t, chooser), calls))
+    return out
+
+
+def assert_recolors_as_leaf_lists(g, seed):
+    t = build_cotree(g)
+    for tree in (t, to_binary(t, "left-comb"), to_binary(t, "chi-ascending")):
+        assert traced(alg2_color, g, tree, seed) == \
+            traced(leaf_list_recolor, g, tree, seed)
+
+
+def test_recolor_matches_leaf_lists_on_all_small_cographs(small_cographs):
+    for i, g in enumerate(small_cographs):
+        assert_recolors_as_leaf_lists(g, i)
+
+
+@pytest.mark.parametrize("n", [50, 300, 1000])
+def test_recolor_matches_leaf_lists_on_random_cographs(n):
+    for seed in range(3):
+        for arity in (2, 3, 6):
+            g, _ = random_cograph(GenParams(n=n, seed=seed, max_arity=arity))
+            assert_recolors_as_leaf_lists(g, seed)
+
+
+def test_alg1_memory_on_a_deep_caterpillar():
+    # depth 10^4, labels alternating: per-node vertex lists took 430 MB
+    t = Cotree()
+    acc = t.add_leaf(9999)
+    for v in range(9998, -1, -1):
+        acc = t.add_inner(v % 2, [t.add_leaf(v), acc])
+    t.root = acc
+    g = realized_graph(t)
+    tracemalloc.start()
+    try:
+        c, _ = alg1_color(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(c.values()) == 5000
+    assert peak < 50 << 20
 
 
 def test_reconstruct_cotree(k2_k1_k1, coloring_a):

@@ -15,12 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
-                        NotHcColoringError, alg1_color, build_cotree,
-                        chromatic_number, disjoint_union, greedy_coloring,
-                        is_binary, is_greedy, is_hc_coloring, is_proper, join,
-                        newick_write, random_cograph, realized_graph, realizes,
-                        reconstruct_cotree, to_binary, verify_hc)
-from cograph_hc.coloring import _greedy_witness, _improper_edge
+                        NotHcColoringError, Verdict, alg1_color, build_cotree,
+                        chromatic_number, disjoint_union, exhaustive_cographs,
+                        greedy_coloring, is_binary, is_greedy, is_hc_coloring,
+                        is_proper, join, newick_write, random_cograph,
+                        realized_graph, realizes, reconstruct_cotree,
+                        to_binary, verify_hc)
+from cograph_hc.coloring import (_color_bits, _colors, _greedy_witness,
+                                 _improper_edge)
+from cograph_hc.oracle import proper_partitions
 
 
 def caterpillar(levels, leaves_per_level=1):
@@ -220,3 +223,106 @@ def test_reconstruct_cotree_pinned_certificates(edges, n, c, certificate):
     with pytest.raises(NotHcColoringError) as exc:
         reconstruct_cotree(Graph(n, edges), c)
     assert exc.value.certificate == tuple(frozenset(s) for s in certificate)
+
+
+def test_reconstruct_cotree_validates_colors_like_is_hc_coloring():
+    g = Graph(3, [(0, 1)])
+    c = {0: 0, 1: 1, 2: 1}
+    for check in (is_hc_coloring, reconstruct_cotree):
+        with pytest.raises(ValueError, match="colors must be positive"):
+            check(g, c)
+
+
+# -- the shared existential pass against the per-node pass it replaced --------
+
+def per_node_is_hc(g, c):
+    """Reference: a join's children need pairwise disjoint color masks, a
+    union's one child mask equal to the OR of all; the first failing node
+    in postorder decides."""
+    t = build_cotree(g)
+    bit, _ = _color_bits(c)
+    masks = [0] * t.n_nodes()
+    for u in range(t.n_nodes()):
+        if t.is_leaf(u):
+            masks[u] = bit[t.vertex[u]]
+            continue
+        kids = [masks[k] for k in t.children[u]]
+        union = 0
+        for m in kids:
+            if t.label[u] == 1 and union & m:
+                return False
+            union |= m
+        if t.label[u] == 0 and max(kids, key=int.bit_count) != union:
+            return False
+        masks[u] = union
+    return True
+
+
+def test_is_hc_coloring_decides_as_the_per_node_pass():
+    rejections = 0
+    for n in range(1, 6):
+        for g in exhaustive_cographs(n):
+            for c in proper_partitions(g):
+                verdict = is_hc_coloring(g, c)
+                assert verdict.accepted == per_node_is_hc(g, c)
+                if verdict.accepted:
+                    continue
+                rejections += 1
+                first, rest = verdict.sets
+                if verdict.axiom == "K2":
+                    assert first & rest
+                else:
+                    assert verdict.axiom == "K3"
+                    assert not (first <= rest or rest <= first)
+                with pytest.raises(NotHcColoringError) as exc:
+                    reconstruct_cotree(g, c)
+                assert exc.value.certificate == verdict.sets
+    assert rejections == 4404
+
+
+# -- verify_hc's depth-only tie-break against the preorder tie-break ----------
+
+def preorder_verify_hc(g, t, c):
+    """Reference: collect every failing node, then report the deepest,
+    ties broken by smallest preorder index."""
+    bit, palette = _color_bits(c)
+    masks = [0] * t.n_nodes()
+    failures = []
+    for u in t.postorder():
+        if t.is_leaf(u):
+            masks[u] = bit[t.vertex[u]]
+            continue
+        m1, m2 = (masks[k] for k in t.children[u])
+        masks[u] = m1 | m2
+        if t.label[u] == 1 and m1 & m2:
+            failures.append((u, "K2", m1, m2))
+        elif t.label[u] == 0 and m1 & ~m2 and m2 & ~m1:
+            failures.append((u, "K3", m1, m2))
+    if not failures:
+        return Verdict(True)
+    depth, preorder, stack = {t.root: 0}, {}, [t.root]
+    while stack:
+        u = stack.pop()
+        preorder[u] = len(preorder)
+        for k in reversed(t.children[u]):
+            depth[k] = depth[u] + 1
+            stack.append(k)
+    node, axiom, m1, m2 = min(
+        failures, key=lambda f: (-depth[f[0]], preorder[f[0]]))
+    return Verdict(False, node=node, axiom=axiom,
+                   sets=(_colors(m1, palette), _colors(m2, palette)))
+
+
+def test_verify_hc_tie_break_matches_preorder():
+    rng = random.Random(11)
+    rejections = 0
+    for seed in range(600):
+        g, t = random_cograph(GenParams(n=rng.randint(1, 30), seed=seed,
+                                        max_arity=rng.randint(2, 5)))
+        t = to_binary(t, rng.choice(["left-comb", "chi-ascending"]))
+        k = rng.randint(1, g.n)
+        c = {v: rng.randint(1, k) for v in range(g.n)}
+        verdict = verify_hc(g, t, c, check_tree=False)
+        assert verdict == preorder_verify_hc(g, t, c)
+        rejections += not verdict.accepted
+    assert rejections > 400
