@@ -8,11 +8,11 @@ oracles that mechanically check the underlying theorems on small instances.
 from .graph import (Graph, GraphFormatError, complement, connected_components,
                     disjoint_union, induced_subgraph, join, read_edge_list,
                     write_edge_list)
-from .cotree import (BinaryCotree, Cotree, NewickError, NotACographError,
-                     P4Witness, align_to_graph, build_cotree,
-                     chromatic_number, is_binary, is_discriminating,
-                     make_discriminating, newick_read, newick_write,
-                     realized_graph, realizes, to_binary)
+from .cotree import (Cotree, NewickError, NotACographError, P4Witness,
+                     align_to_graph, build_cotree, chromatic_number,
+                     is_binary, is_discriminating, make_discriminating,
+                     newick_read, newick_write, realized_graph, realizes,
+                     to_binary)
 from .coloring import (Coloring, Verdict, greedy_coloring, is_greedy,
                        is_hc_coloring, is_proper, is_recursively_minimal,
                        read_coloring, verify_hc, write_coloring)
@@ -26,7 +26,7 @@ __all__ = [
     "Graph", "GraphFormatError", "complement", "connected_components",
     "disjoint_union", "induced_subgraph", "join", "read_edge_list",
     "write_edge_list",
-    "BinaryCotree", "Cotree", "NewickError", "NotACographError", "P4Witness",
+    "Cotree", "NewickError", "NotACographError", "P4Witness",
     "align_to_graph", "build_cotree", "chromatic_number", "is_binary",
     "is_discriminating", "make_discriminating", "newick_read", "newick_write",
     "realized_graph", "realizes", "to_binary",

@@ -2,8 +2,6 @@
 
 Exit codes: 0 = success / accept, 1 = reject / negative result,
 2 = usage or I/O error, a closed standard output (broken pipe) included.
-`COGRAPH_HC_THREADS` caps the worker processes of `check` (0 = auto,
-default 1).
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import functools
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import graph as gr
@@ -208,13 +205,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_chunk(payload: tuple) -> list:
-    specs, theorems, seed, start = payload
-    corpus = [gr.Graph._from_adj(n, adj, None) for n, adj in specs]
-    return oracle.check_theorems(corpus, theorems, seed=seed,
-                                 start_index=start)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.max_n > 6:
         raise _CliError(f"size-guard: --max-n {args.max_n} exceeds 6")
@@ -230,24 +220,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for n in range(1, args.max_n + 1):
         corpus.extend(exhaustive_cographs(n))
     start = time.perf_counter()
-    threads = os.environ.get("COGRAPH_HC_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise _CliError(f"bad COGRAPH_HC_THREADS value {threads!r}") from None
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(corpus) > workers:
-        chunk = (len(corpus) + workers - 1) // workers
-        payloads = []
-        for start in range(0, len(corpus), chunk):
-            specs = [(g.n, g.adj) for g in corpus[start:start + chunk]]
-            payloads.append((specs, theorems, args.seed, start))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_check_chunk, payloads))
-        reports = oracle.merge_reports(parts)
-    else:
-        reports = oracle.check_theorems(corpus, theorems, seed=args.seed)
+    reports = oracle.check_theorems(corpus, theorems, seed=args.seed)
     failed = False
     for rep in reports:
         print(rep.render())

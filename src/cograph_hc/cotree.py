@@ -150,9 +150,6 @@ class Cotree:
             return f"Cotree(<{self.n_nodes()} nodes>)"
 
 
-BinaryCotree = Cotree
-
-
 def is_binary(t: Cotree) -> bool:
     return all(l == LEAF or len(c) == 2
                for l, c in zip(t.label, t.children))

@@ -203,72 +203,63 @@ def _subtree_newicks(t: Cotree) -> list[str]:
     return text
 
 
-def count_hc_wrt(t: Cotree) -> CountReport:
-    """Count hc-colorings w.r.t. a fixed binary cotree.
-
-    Per node, up to renaming: leaves count 1; joins multiply child counts
-    (disjoint sets); unions additionally pick an injection of the smaller
-    child color set into the larger. The labeled total fixes a color set
-    of chromatic size, contributing a factorial at the root.
+def _count(t: Cotree) -> CountReport:
+    """The one counting pass. Per node: its hc-colorings up to color
+    renaming and the size of its color set. A leaf counts (1, 1). A join
+    multiplies its children's counts (their color sets are disjoint) and
+    sums their sizes. At a union the first child of maximum size, `best`,
+    holds the color set, of size s = size[best], and every other child c
+    injects into it: count[best] times count[c] * g_injections(size[c], s)
+    per other child. The labeled total names the root's colors:
+    count[root] * s!.
     """
-    if not is_binary(t):
-        raise ValueError("cotree-not-binary")
     paths = _subtree_newicks(t)
     count = [0] * t.n_nodes()
     size = [0] * t.n_nodes()
     per_node = []
     for u in t.postorder():
-        if t.is_leaf(u):
+        kids = t.children[u]
+        if not kids:
             count[u], size[u] = 1, 1
+        elif t.label[u] == 1:
+            n, s = 1, 0
+            for c in kids:
+                n *= count[c]
+                s += size[c]
+            count[u], size[u] = n, s
         else:
-            c1, c2 = t.children[u]
-            if t.label[u] == 1:
-                count[u] = count[c1] * count[c2]
-                size[u] = size[c1] + size[c2]
-            else:
-                s1, s2 = sorted((size[c1], size[c2]))
-                count[u] = count[c1] * count[c2] * g_injections(s1, s2)
-                size[u] = s2
+            best = max(kids, key=size.__getitem__)  # the first maximum
+            s = size[best]
+            n = count[best]
+            for c in kids:
+                if c != best:
+                    n *= count[c] * g_injections(size[c], s)
+            count[u], size[u] = n, s
         per_node.append(NodeCount(paths[u], count[u], size[u]))
     root = t.root
     return CountReport(tuple(per_node),
                        count[root] * math.factorial(size[root]))
 
 
+def count_hc_wrt(t: Cotree) -> CountReport:
+    """Count hc-colorings w.r.t. a fixed binary cotree, by the one
+    counting rule of `_count`: leaves count 1, joins multiply, and a union
+    multiplies by the injections of its smaller child's color set into
+    its larger one's; the labeled total is the root count times s!."""
+    if not is_binary(t):
+        raise ValueError("cotree-not-binary")
+    return _count(t)
+
+
 def count_hc_total(g: Graph) -> CountReport:
     """Total number of hc-colorings of g (over all binary cotrees).
 
-    Computed on the discriminating cotree: at a join the color blocks of
-    the children partition the color set; at a union every child picks any
-    subset of the top-level color set for its own colors, and the child of
-    maximum chromatic number always provides the containing set.
+    The same rule as `count_hc_wrt`, on the discriminating cotree: a
+    coloring is hc w.r.t. some binary refinement iff at every union each
+    child's color set lies in that of a largest child, which is exactly
+    the union step of `_count`.
     """
     t = build_cotree(g)
     if isinstance(t, P4Witness):
         raise NotACographError(t)
-    paths = _subtree_newicks(t)
-    labeled = [0] * t.n_nodes()  # surjective colorings onto a fixed s-set
-    size = [0] * t.n_nodes()
-    per_node = []
-    for u in t.postorder():
-        if t.is_leaf(u):
-            labeled[u], size[u] = 1, 1
-        elif t.label[u] == 1:
-            s = sum(size[c] for c in t.children[u])
-            # multinomial allocation of color blocks to the children
-            total = math.factorial(s)
-            for c in t.children[u]:
-                total //= math.factorial(size[c])
-            for c in t.children[u]:
-                total *= labeled[c]
-            labeled[u], size[u] = total, s
-        else:
-            s = max(size[c] for c in t.children[u])
-            total = 1
-            for c in t.children[u]:
-                total *= math.comb(s, size[c]) * labeled[c]
-            labeled[u], size[u] = total, s
-        per_node.append(NodeCount(paths[u],
-                                  labeled[u] // math.factorial(size[u]),
-                                  size[u]))
-    return CountReport(tuple(per_node), labeled[t.root])
+    return _count(t)

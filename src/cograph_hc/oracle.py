@@ -315,9 +315,8 @@ class _GraphCtx:
     on its partition, so only identical questions are shared.
     """
 
-    def __init__(self, g: Graph, seed: int):
+    def __init__(self, g: Graph):
         self.g = g
-        self.seed = seed
         self.is_cograph = g.n > 0 and find_induced_p4(g) is None
         self._cache: dict[str, object] = {}
 
@@ -411,11 +410,11 @@ class _GraphCtx:
 
 
 def check_theorems(corpus: list[Graph], theorems: list[str] | None = None,
-                   seed: int = 0, start_index: int = 0) -> list[TheoremReport]:
+                   seed: int = 0) -> list[TheoremReport]:
     """Run every cross-check on the corpus; failures are data, not errors.
 
-    The per-instance RNG is derived from (seed, instance index), so chunked
-    parallel runs merge to exactly the serial result.
+    The per-instance RNG is derived from (seed, instance index), so an
+    instance's checks do not depend on the instances before it.
     """
     if theorems is None:
         theorems = list(THEOREM_IDS)
@@ -423,10 +422,9 @@ def check_theorems(corpus: list[Graph], theorems: list[str] | None = None,
         if tid not in THEOREM_IDS:
             raise ValueError(f"unknown theorem id {tid!r}")
     reports = {tid: TheoremReport(tid) for tid in theorems}
-    for offset, g in enumerate(corpus):
-        idx = start_index + offset
+    for idx, g in enumerate(corpus):
         rng = random.Random((seed << 32) + idx)  # per-instance stream
-        ctx = _GraphCtx(g, seed)
+        ctx = _GraphCtx(g)
         if not ctx.is_cograph:
             for tid in theorems:
                 reports[tid].skipped += 1
@@ -574,7 +572,7 @@ def _check_t4(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         c, _ = alg1_color(g, chooser)
         if not is_hc_coloring(g, c).accepted:
             rep.counterexamples.append((idx, chooser.strategy, c))
-        elif g.n <= 6 and not ctx.recursively_minimal(c):
+        elif not ctx.recursively_minimal(c):
             rep.counterexamples.append((idx, chooser.strategy, c, "direct"))
     if g.n <= 5:
         produced = {_partition_key(c, g.n) for c in enumerate_alg1_outputs(g)}
@@ -620,20 +618,6 @@ def _check_count(rep: TheoremReport, idx: int, ctx: _GraphCtx,
     if total != brute_total:
         rep.counterexamples.append((idx, "total", total, brute_total))
     rep.checked += 1
-
-
-def merge_reports(parts: list[list[TheoremReport]]) -> list[TheoremReport]:
-    """Merge chunked reports (same theorem order) in chunk order."""
-    merged = [TheoremReport(r.theorem_id) for r in parts[0]]
-    for chunk in parts:
-        for acc, r in zip(merged, chunk):
-            if acc.theorem_id != r.theorem_id:
-                raise ValueError("mismatched report chunks")
-            acc.checked += r.checked
-            acc.skipped += r.skipped
-            acc.counterexamples.extend(r.counterexamples)
-            acc.notes.extend(r.notes)
-    return merged
 
 
 _CHECKS = {

@@ -1,6 +1,8 @@
 import io
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,12 +228,17 @@ def test_check_selected_theorems(capsys):
     assert out.count("THEOREM") == 2
 
 
-def test_check_parallel_matches_serial(capsys, monkeypatch):
-    assert main(["check", "--max-n", "3"]) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("COGRAPH_HC_THREADS", "2")
-    assert main(["check", "--max-n", "3"]) == 0
-    assert capsys.readouterr().out == serial
+def test_cli_import_loads_no_process_pool():
+    # `check` is serial, so starting the CLI imports neither
+    # multiprocessing nor concurrent.futures
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import cograph_hc.cli, sys; print(sorted(m for m in "
+            "('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_check_guards(capsys):

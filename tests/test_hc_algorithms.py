@@ -13,7 +13,7 @@ from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
                         realized_graph, realizes, reconstruct_cotree,
                         to_binary, verify_hc)
 from cograph_hc.cotree import align_to_graph, node_chromatic_numbers
-from cograph_hc.hc_algorithms import _canonical_rename
+from cograph_hc.hc_algorithms import _canonical_rename, _subtree_newicks
 from cograph_hc.oracle import (all_binary_cotrees, brute_chromatic,
                                enumerate_alg1_outputs, proper_partitions)
 
@@ -279,6 +279,104 @@ def test_count_matches_brute_force_per_tree(small_cographs):
             brute = sum(1 for c in parts
                         if verify_hc(g, t, c, check_tree=False).accepted)
             assert count_hc_wrt(t).labeled_total == brute * chi_fact
+
+
+# -- the counting pass against the two passes it replaced -----------------------
+
+def reference_count_wrt(t):
+    """Reference: the binary-only pass. Joins multiply, unions multiply by
+    the injections of the smaller child's colors into the larger's; the
+    root gets a factorial."""
+    paths = _subtree_newicks(t)
+    count, size, per_node = {}, {}, []
+    for u in t.postorder():
+        if t.is_leaf(u):
+            count[u], size[u] = 1, 1
+        else:
+            c1, c2 = t.children[u]
+            if t.label[u] == 1:
+                count[u] = count[c1] * count[c2]
+                size[u] = size[c1] + size[c2]
+            else:
+                s1, s2 = sorted((size[c1], size[c2]))
+                count[u] = count[c1] * count[c2] * math.perm(s2, s1)
+                size[u] = s2
+        per_node.append((paths[u], count[u], size[u]))
+    return per_node, count[t.root] * math.factorial(size[t.root])
+
+
+def reference_count_total(g):
+    """Reference: the labeled pass on the discriminating cotree. A join
+    deals its color blocks out by a multinomial, a union lets each child
+    pick any subset of the largest child's color set; per node the
+    labeled count divided by s! is the count up to renaming."""
+    t = build_cotree(g)
+    paths = _subtree_newicks(t)
+    labeled, size, per_node = {}, {}, []
+    for u in t.postorder():
+        kids = t.children[u]
+        if not kids:
+            labeled[u], size[u] = 1, 1
+        elif t.label[u] == 1:
+            s = sum(size[c] for c in kids)
+            total = math.factorial(s)
+            for c in kids:
+                total //= math.factorial(size[c])
+            for c in kids:
+                total *= labeled[c]
+            labeled[u], size[u] = total, s
+        else:
+            s = max(size[c] for c in kids)
+            total = 1
+            for c in kids:
+                total *= math.comb(s, size[c]) * labeled[c]
+            labeled[u], size[u] = total, s
+        per_node.append((paths[u], labeled[u] // math.factorial(size[u]),
+                         size[u]))
+    return per_node, labeled[t.root]
+
+
+def triples(report):
+    return ([(nc.path, nc.partitions, nc.colors) for nc in report.per_node],
+            report.labeled_total)
+
+
+def assert_counts_as_references(g):
+    assert triples(count_hc_total(g)) == reference_count_total(g)
+    t = build_cotree(g)
+    for strategy in ("left-comb", "chi-ascending"):
+        tree = to_binary(t, strategy)
+        assert triples(count_hc_wrt(tree)) == reference_count_wrt(tree)
+
+
+def test_count_matches_references_on_all_small_cographs(small_cographs):
+    trees = 0
+    for g in small_cographs:
+        assert triples(count_hc_total(g)) == reference_count_total(g)
+        for t in all_binary_cotrees(g):
+            assert triples(count_hc_wrt(t)) == reference_count_wrt(t)
+            trees += 1
+    assert trees == 1815
+
+
+@pytest.mark.parametrize("n", [50, 300, 1000])
+def test_count_matches_references_on_random_cographs(n):
+    for seed in range(2):
+        for arity in (2, 3, 5):
+            for balance in (0.3, 1.0):
+                g, _ = random_cograph(GenParams(
+                    n=n, seed=seed, max_arity=arity, balance=balance))
+                assert_counts_as_references(g)
+
+
+def test_count_matches_references_on_a_deep_caterpillar():
+    t = Cotree()
+    acc = t.add_leaf(999)
+    for v in range(998, -1, -1):
+        acc = t.add_inner(v % 2, [t.add_leaf(v), acc])
+    t.root = acc
+    assert triples(count_hc_wrt(t)) == reference_count_wrt(t)
+    assert_counts_as_references(realized_graph(t))
 
 
 def test_exhaustive_outputs_cover_hc_set(k2_k1_k1):

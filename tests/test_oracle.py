@@ -235,21 +235,6 @@ def test_greedy_iff_detects_known_failure_at_n5():
     assert ((0,), (1, 4), (2, 3)) in parts
 
 
-def test_check_theorems_chunking_matches_serial():
-    from cograph_hc import exhaustive_cographs
-    corpus = list(exhaustive_cographs(3)) + list(exhaustive_cographs(4))
-    serial = oracle.check_theorems(corpus, ["L2", "T4"], seed=5)
-    half = len(corpus) // 2
-    parts = [oracle.check_theorems(corpus[:half], ["L2", "T4"], seed=5),
-             oracle.check_theorems(corpus[half:], ["L2", "T4"], seed=5,
-                                   start_index=half)]
-    merged = oracle.merge_reports(parts)
-    for a, b in zip(serial, merged):
-        assert a.theorem_id == b.theorem_id
-        assert a.checked == b.checked and a.skipped == b.skipped
-        assert a.counterexamples == b.counterexamples
-
-
 def test_report_render_contract():
     rep = oracle.TheoremReport("T1", checked=3)
     assert rep.render() == "THEOREM T1 PASS checked=3 counterexamples=0"
@@ -295,7 +280,7 @@ def test_verify_hc_agrees_with_the_oracle_kernel(small_cographs):
     from cograph_hc.graph import bits
     pairs = 0
     for g in small_cographs:
-        ctx = oracle._GraphCtx(g, 0)
+        ctx = oracle._GraphCtx(g)
         trees = ctx.trees
         masks = [t.leaf_masks() for t in trees]
         for c in ctx.partitions + oracle.all_min_colorings(g):
