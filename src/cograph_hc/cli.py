@@ -100,16 +100,12 @@ def _cmd_color(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if args.method == "greedy":
         if args.order:
-            lookup = g.name_to_id()
-            order = []
-            for tok in args.order.split(","):
-                tok = tok.strip()
-                if tok in lookup:
-                    order.append(lookup[tok])
-                elif tok.isdigit() and int(tok) < g.n:
-                    order.append(int(tok))
-                else:
-                    raise _CliError(f"unknown vertex {tok!r} in --order")
+            ids = gr.VertexIds(g.vertex_names())
+            try:
+                order = [ids[tok.strip()] for tok in args.order.split(",")]
+            except KeyError as exc:
+                tok = exc.args[0]
+                raise _CliError(f"unknown vertex {tok!r} in --order") from None
         else:
             import random
             order = list(range(g.n))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, bits
+from .graph import Graph, VertexIds, bits
 from .cotree import (Cotree, NotACographError, P4Witness, build_cotree,
                      is_binary, realizes)
 
@@ -260,7 +260,7 @@ def write_coloring(g: Graph, c: Coloring) -> str:
 
 
 def read_coloring(text: str, g: Graph) -> Coloring:
-    lookup = g.name_to_id()
+    ids = VertexIds(g.vertex_names())
     c: Coloring = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -270,13 +270,11 @@ def read_coloring(text: str, g: Graph) -> Coloring:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'vertex<TAB>color'")
         vtok, ctok = parts
-        if vtok in lookup:
-            v = lookup[vtok]
-        elif vtok.isdigit() and int(vtok) < g.n:
-            v = int(vtok)
-        else:
-            raise ValueError(f"line {lineno}: unknown vertex {vtok!r}")
-        if not ctok.isdigit() or int(ctok) < 1:
+        try:
+            v = ids[vtok]
+        except KeyError:
+            raise ValueError(f"line {lineno}: unknown vertex {vtok!r}") from None
+        if not (ctok.isascii() and ctok.isdigit()) or int(ctok) < 1:
             raise ValueError(f"line {lineno}: bad color {ctok!r}")
         if v in c:
             raise ValueError(f"line {lineno}: vertex {vtok!r} colored twice")

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import filterfalse
 
-from .graph import Graph, bits
+from .graph import Graph, VertexIds, bits
 
 LEAF = -1
 
@@ -404,7 +405,7 @@ def align_to_graph(t: Cotree, g: Graph) -> Cotree:
     tnames = t.vertex_names(g.n)
     if sorted(tnames) != sorted(g.vertex_names()):
         raise ValueError("cotree-graph-mismatch")
-    gid = g.name_to_id()
+    gid = VertexIds(g.vertex_names())
     out = Cotree(names=g.names)
     built: dict[int, int] = {}
     for u in t.postorder():
@@ -433,22 +434,48 @@ _NAME = re.compile(r"[^(),;\s]+")
 _SPACE = re.compile(r"\s*")
 
 
+def _newick_spans(t: Cotree) -> tuple[str, list[int], list[int]]:
+    """Newick text of t without the ";", and each node's [start, end) span
+    in it. One preorder walk over an explicit stack (~u closes u) appends
+    tokens to one list that is joined once, so memory stays linear at any
+    depth. A vertex name that Newick cannot hold raises ValueError."""
+    # each name is checked once; the default names v0, v1, ... read back
+    for name in filterfalse(_NAME.fullmatch, t.names or ()):
+        raise ValueError(f"vertex name {name!r} cannot be written to Newick")
+    names = t.vertex_names()
+    label, children, vertex = t.label, t.children, t.vertex
+    start = [0] * len(label)
+    end = [0] * len(label)
+    out: list[str] = []
+    pos = 0
+    stack = [t.root]
+    while stack:
+        u = stack.pop()
+        if u >= 0:
+            start[u] = pos
+            if children[u]:
+                out.append("(")
+                pos += 1
+                stack.append(~u)
+                stack.extend(reversed(children[u]))
+                continue
+            tok = names[vertex[u]]
+        else:
+            u = ~u
+            tok = ")1" if label[u] else ")0"
+        out.append(tok)
+        pos += len(tok)
+        end[u] = pos
+        if stack and stack[-1] >= 0:  # a sibling follows, not a close
+            out.append(",")
+            pos += 1
+    return "".join(out), start, end
+
+
 def newick_write(t: Cotree) -> str:
     """Newick text of t; a vertex name that would not read back (empty, or
     holding whitespace or one of "(),;") raises ValueError."""
-    names = t.vertex_names()
-    text: dict[int, str] = {}
-    for u in t.postorder():
-        if t.is_leaf(u):
-            name = names[t.vertex[u]]
-            if not _NAME.fullmatch(name):
-                raise ValueError(f"vertex name {name!r} cannot be written "
-                                 "to Newick")
-            text[u] = name
-        else:
-            inner = ",".join(text[c] for c in t.children[u])
-            text[u] = f"({inner}){t.label[u]}"
-    return text[t.root] + ";"
+    return _newick_spans(t)[0] + ";"
 
 
 def newick_read(s: str) -> Cotree:

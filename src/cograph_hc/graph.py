@@ -8,13 +8,32 @@ traceability; names survive induced subgraphs, unions and joins.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 VertexSet = tuple[int, ...]
 
 
 class GraphFormatError(ValueError):
     """Raised on malformed edge-list input."""
+
+
+class VertexIds(dict):
+    """`ids[tok]`: the vertex that token names, a vertex name or else an
+    ASCII decimal id below n; anything else ("+3", "1_0", "-0") raises
+    KeyError. Names and plain decimals are keys, so a token costs one
+    lookup; only a miss, such as a leading zero, tests the string."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, names: Sequence[str]):
+        self.n = len(names)
+        super().__init__((str(i), i) for i in range(self.n))
+        self.update(zip(names, range(self.n)))
+
+    def __missing__(self, tok: str) -> int:
+        if tok.isascii() and tok.isdigit() and int(tok) < self.n:
+            return int(tok)
+        raise KeyError(tok)
 
 
 class Graph:
@@ -77,9 +96,6 @@ class Graph:
                 low = rest & -rest
                 yield u, low.bit_length() - 1
                 rest ^= low
-
-    def name_to_id(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.vertex_names())}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -224,17 +240,17 @@ def read_edge_list(text: str) -> Graph:
     n = None
     names: tuple[str, ...] | None = None
     edges = []
-    lookup: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if n is None:
-            if parts[0] != "n" or len(parts) != 2 or not parts[1].isdigit():
+            if (parts[0] != "n" or len(parts) != 2 or not parts[1].isascii()
+                    or not parts[1].isdigit()):
                 raise GraphFormatError(f"line {lineno}: expected 'n <count>'")
             n = int(parts[1])
-            lookup = {f"v{i}": i for i in range(n)}
+            ids = VertexIds([f"v{i}" for i in range(n)])
             continue
         if parts[0] == "names" and not edges and names is None:
             if len(parts) != n + 1:
@@ -242,21 +258,15 @@ def read_edge_list(text: str) -> Graph:
             names = tuple(parts[1:])
             if len(set(names)) != n:
                 raise GraphFormatError(f"line {lineno}: duplicate names")
-            lookup = {name: i for i, name in enumerate(names)}
+            ids = VertexIds(names)
             continue
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v'")
         try:
-            uv = []
-            for tok in parts:
-                if tok in lookup:
-                    uv.append(lookup[tok])
-                else:
-                    uv.append(int(tok))
-            u, v = uv
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValueError
-        except ValueError:
+            u, v = ids[parts[0]], ids[parts[1]]
+            if u == v:
+                raise KeyError
+        except KeyError:
             raise GraphFormatError(f"line {lineno}: bad edge {line!r}") from None
         edges.append((u, v))
     if n is None:

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .graph import Graph
 from .cotree import (Cotree, P4Witness, NotACographError, build_cotree,
-                     is_binary, realizes)
+                     _newick_spans, is_binary, realizes)
 from .coloring import Coloring, _hc_refinement
 
 
@@ -191,18 +191,6 @@ def _decimal(x: int, width: int = 0) -> str:
     return _decimal(high, max(width - k, 0)) + _decimal(low, k)
 
 
-def _subtree_newicks(t: Cotree) -> list[str]:
-    names = t.vertex_names()
-    text = [""] * t.n_nodes()
-    for u in t.postorder():
-        if t.is_leaf(u):
-            text[u] = names[t.vertex[u]]
-        else:
-            text[u] = "(" + ",".join(text[c] for c in t.children[u]) + ")" \
-                + str(t.label[u])
-    return text
-
-
 def _count(t: Cotree) -> CountReport:
     """The one counting pass. Per node: its hc-colorings up to color
     renaming and the size of its color set. A leaf counts (1, 1). A join
@@ -211,9 +199,10 @@ def _count(t: Cotree) -> CountReport:
     holds the color set, of size s = size[best], and every other child c
     injects into it: count[best] times count[c] * g_injections(size[c], s)
     per other child. The labeled total names the root's colors:
-    count[root] * s!.
+    count[root] * s!. Each node's path is its span of the tree's Newick
+    text, so a vertex name Newick cannot hold raises ValueError.
     """
-    paths = _subtree_newicks(t)
+    text, start, end = _newick_spans(t)
     count = [0] * t.n_nodes()
     size = [0] * t.n_nodes()
     per_node = []
@@ -235,7 +224,7 @@ def _count(t: Cotree) -> CountReport:
                 if c != best:
                     n *= count[c] * g_injections(size[c], s)
             count[u], size[u] = n, s
-        per_node.append(NodeCount(paths[u], count[u], size[u]))
+        per_node.append(NodeCount(text[start[u]:end[u]], count[u], size[u]))
     root = t.root
     return CountReport(tuple(per_node),
                        count[root] * math.factorial(size[root]))

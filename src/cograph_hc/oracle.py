@@ -21,6 +21,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph import Graph, bits, connected_components, induced_subgraph
 from .cotree import Cotree, P4Witness
@@ -318,42 +319,37 @@ class _GraphCtx:
     def __init__(self, g: Graph):
         self.g = g
         self.is_cograph = g.n > 0 and find_induced_p4(g) is None
-        self._cache: dict[str, object] = {}
+        self._color_set_memo: dict[tuple[int, ...], list[int]] = {}
+        self._verdict_memo: dict[tuple[int, ...], tuple[bool, ...]] = {}
+        self._minimal_memo: dict[tuple[int, ...], bool] = {}
 
-    def _get(self, key: str, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def chi(self) -> int:
-        return self._get("chi", lambda: brute_chromatic(self.g))
+        return brute_chromatic(self.g)
 
-    @property
+    @cached_property
     def index(self) -> _TreeIndex:
-        return self._get("index", lambda: _TreeIndex(self.g))
+        return _TreeIndex(self.g)
 
-    @property
+    @cached_property
     def trees(self) -> list[Cotree]:
         """The enumerated trees as `Cotree`s, in the index's order."""
-        return self._get("trees", lambda: [
-            _to_cotree(s, self.g.names) for s in self.index.shapes])
+        return [_to_cotree(s, self.g.names) for s in self.index.shapes]
 
-    @property
+    @cached_property
     def partitions(self) -> list[Coloring]:
-        return self._get("partitions", lambda: proper_partitions(self.g))
+        return proper_partitions(self.g)
 
-    @property
+    @cached_property
     def greedy_runs(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Per vertex order, in permutation order, greedy's colors in vertex
         order (every order, so for n <= 5 only)."""
-        return self._get("greedy_runs", lambda: {
-            order: _greedy_run(self.g, order)
-            for order in itertools.permutations(range(self.g.n))})
+        return {order: _greedy_run(self.g, order)
+                for order in itertools.permutations(range(self.g.n))}
 
     def _color_sets(self, key: tuple[int, ...]) -> list[int]:
         """cs[S], the color bitmask of vertex set S, for every S."""
-        memo = self._get("color_sets", dict)
+        memo = self._color_set_memo
         if key not in memo:
             cs = [0]
             for col in key:  # the sets holding vertex v follow those below v
@@ -365,7 +361,7 @@ class _GraphCtx:
     def verdicts(self, c: Coloring) -> tuple[bool, ...]:
         """Per enumerated tree, whether c satisfies K2 at its joins and K3
         at its unions."""
-        memo = self._get("verdicts", dict)
+        memo = self._verdict_memo
         key = tuple(c[v] for v in range(self.g.n))
         if key not in memo:
             cs = self._color_sets(key)
@@ -381,17 +377,17 @@ class _GraphCtx:
                               for tb in self.index.triple_bits)
         return memo[key]
 
-    @property
+    @cached_property
     def node_chis(self) -> list[tuple[int, int, int]]:
         """(mask, bit, brute-force chromatic number) per inner node mask."""
-        return self._get("node_chis", lambda: [
-            (mask, bit, brute_chromatic(induced_subgraph(self.g, bits(mask))))
-            for mask, bit in self.index.node_masks.items()])
+        return [(mask, bit,
+                 brute_chromatic(induced_subgraph(self.g, bits(mask))))
+                for mask, bit in self.index.node_masks.items()]
 
     def recursively_minimal(self, c: Coloring) -> bool:
         """Direct recursive minimality: some enumerated tree along which
         every constituent uses exactly its chromatic number of colors."""
-        memo = self._get("minimal", dict)
+        memo = self._minimal_memo
         key = tuple(c[v] for v in range(self.g.n))
         if key not in memo:
             cs = self._color_sets(key)
@@ -402,11 +398,10 @@ class _GraphCtx:
             memo[key] = any(not nb & failing for nb in self.index.node_bits)
         return memo[key]
 
-    @property
+    @cached_property
     def accepted_mask(self) -> list[bool]:
         """Per partition: accepted by at least one enumerated cotree."""
-        return self._get("accepted_mask", lambda: [
-            any(self.verdicts(c)) for c in self.partitions])
+        return [any(self.verdicts(c)) for c in self.partitions]
 
 
 def check_theorems(corpus: list[Graph], theorems: list[str] | None = None,
@@ -431,7 +426,11 @@ def check_theorems(corpus: list[Graph], theorems: list[str] | None = None,
                 reports[tid].notes.append(f"instance {idx}: not-a-cograph")
             continue
         for tid in theorems:
-            _CHECKS[tid](reports[tid], idx, ctx, rng)
+            if g.n > _MAX_N[tid]:
+                reports[tid].skipped += 1
+                reports[tid].notes.append(f"instance {idx}: size-guard")
+            else:
+                _CHECKS[tid](reports[tid], idx, ctx, rng)
     return [reports[tid] for tid in theorems]
 
 
@@ -439,10 +438,6 @@ def _check_t1(rep: TheoremReport, idx: int, ctx: _GraphCtx,
               rng: random.Random) -> None:
     """Accepted colorings use exactly chi colors, over all proper
     partitions and all binary cotrees."""
-    if ctx.g.n > 6:
-        rep.skipped += 1
-        rep.notes.append(f"instance {idx}: size-guard")
-        return
     for c, accepted in zip(ctx.partitions, ctx.accepted_mask):
         if accepted and len(set(c.values())) != ctx.chi:
             rep.counterexamples.append((idx, c))
@@ -454,10 +449,6 @@ def _check_l2(rep: TheoremReport, idx: int, ctx: _GraphCtx,
     """Greedy runs color each component with {1..chi(component)}; also
     gamma = chi (no order ever needs more than chi colors)."""
     g = ctx.g
-    if g.n > 6:
-        rep.skipped += 1
-        rep.notes.append(f"instance {idx}: size-guard")
-        return
     if g.n <= 5:
         runs = ctx.greedy_runs.items()
     else:
@@ -480,11 +471,6 @@ def _check_l2(rep: TheoremReport, idx: int, ctx: _GraphCtx,
 def _check_l3(rep: TheoremReport, idx: int, ctx: _GraphCtx,
               rng: random.Random) -> None:
     """Every greedy coloring is hc w.r.t. every binary cotree."""
-    g = ctx.g
-    if g.n > 5:
-        rep.skipped += 1
-        rep.notes.append(f"instance {idx}: size-guard")
-        return
     for flat in set(ctx.greedy_runs.values()):
         verdicts = ctx.verdicts(dict(enumerate(flat)))
         for i, accepted in enumerate(verdicts):
@@ -512,10 +498,6 @@ def _check_greedy_iff(rep: TheoremReport, idx: int, ctx: _GraphCtx,
     class. This check reports those genuine counterexamples as found.
     """
     g = ctx.g
-    if g.n > 5:
-        rep.skipped += 1
-        rep.notes.append(f"instance {idx}: size-guard")
-        return
     greedy_set = set(ctx.greedy_runs.values())
     hc_parts = set()
     for c in all_min_colorings(g):
@@ -545,10 +527,6 @@ def _check_t3(rep: TheoremReport, idx: int, ctx: _GraphCtx,
     """is_hc_coloring == exists-cotree brute force == direct recursive
     minimality, over all proper partitions."""
     g = ctx.g
-    if g.n > 6:
-        rep.skipped += 1
-        rep.notes.append(f"instance {idx}: size-guard")
-        return
     for c, brute in zip(ctx.partitions, ctx.accepted_mask):
         fast = is_hc_coloring(g, c).accepted
         direct = ctx.recursively_minimal(c)
@@ -562,10 +540,6 @@ def _check_t4(rep: TheoremReport, idx: int, ctx: _GraphCtx,
     """Alg. 1 outputs are recursively minimal; with exhausted injections
     the output set equals the hc set up to renaming (n <= 5)."""
     g = ctx.g
-    if g.n > 6:
-        rep.skipped += 1
-        rep.notes.append(f"instance {idx}: size-guard")
-        return
     choosers = [InjectionChooser("identity-prefix"),
                 InjectionChooser("seeded-random", seed=rng.getrandbits(32))]
     for chooser in choosers:
@@ -595,10 +569,6 @@ def _check_count(rep: TheoremReport, idx: int, ctx: _GraphCtx,
                  rng: random.Random) -> None:
     """Counting formulas against brute-force enumeration."""
     g = ctx.g
-    if g.n > 6:
-        rep.skipped += 1
-        rep.notes.append(f"instance {idx}: size-guard")
-        return
     chi_fact = math.factorial(ctx.chi)
     root_counts = set()
     columns = zip(*(ctx.verdicts(c) for c in ctx.partitions))
@@ -619,6 +589,11 @@ def _check_count(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         rep.counterexamples.append((idx, "total", total, brute_total))
     rep.checked += 1
 
+
+# The largest n each check runs on; larger instances are skipped with a
+# note. L3 and T-greedy-iff enumerate every vertex order.
+_MAX_N = {"T1": 6, "L2": 6, "L3": 5, "T-greedy-iff": 5, "T3": 6, "T4": 6,
+          "COUNT": 6}
 
 _CHECKS = {
     "T1": _check_t1,

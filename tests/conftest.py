@@ -1,17 +1,22 @@
 import sys
+from pathlib import Path
 
 import pytest
 
 from cograph_hc import Graph, exhaustive_cographs
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "cograph_hc"
+
 
 def pytest_terminal_summary(terminalreporter):
     mod = sys.modules.get("test_acceptance")
     lines = getattr(mod, "LINES", None)
-    if lines:
-        terminalreporter.section("acceptance criteria")
-        for line in sorted(lines):
-            terminalreporter.write_line(line)
+    terminalreporter.section("acceptance criteria")
+    for line in sorted(lines or ()):
+        terminalreporter.write_line(line)
+    # the size that "less code" is measured by, as `wc -l` counts it
+    size = sum(p.read_bytes().count(b"\n") for p in SRC.glob("*.py"))
+    terminalreporter.write_line(f"src/ lines: {size}")
 
 
 @pytest.fixture(scope="session")

@@ -62,6 +62,19 @@ def test_cotree_rejects_names_that_cannot_read_back(files, capsys, tmp_path):
     assert not out.exists()
 
 
+def test_count_refuses_names_that_cannot_be_written(files, capsys):
+    # the old per-node writer printed "node (a(x,b,y)1 ...", three leaves
+    graph = files("g.txt", "n 3\nnames a(x b,y c\na(x b,y\n")
+    message = "error: vertex name 'a(x' cannot be written to Newick\n"
+    for argv in (["recognize", graph], ["count", graph]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", message)
+    assert main(["count", graph, "--cotree",
+                 files("t.nwk", "((a,b)1,c)0;\n")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_color_greedy_with_order(files, capsys, tmp_path):
     out = tmp_path / "c.txt"
     assert main(["color", files("g.txt", GRAPH), "--method", "greedy",
@@ -369,6 +382,30 @@ def test_fuzzed_files_never_escape_main(tmp_path):
                 run(argv, data)
         paths[name].write_bytes(original)
     assert time.perf_counter() - start < 10
+
+
+def test_tokens_neither_names_nor_ascii_decimals_exit_2(files, capsys):
+    # int() read "1_0 +3" as the edge (10, 3) and "-0" as vertex 0
+    g2 = files("g2.txt", "n 2\n0 1\n")
+    cases = [
+        (["recognize", files("us.txt", "n 12\n1_0 +3\n")],
+         "line 2: bad edge '1_0 +3'"),
+        (["recognize", files("neg0.txt", "n 2\n-0 1\n")],
+         "line 2: bad edge '-0 1'"),
+        (["recognize", files("sup.txt", "n \u00b2\n")],
+         "line 1: expected 'n <count>'"),
+        (["verify", g2, files("color.txt", "v0\t1\nv1\t\u00b2\n")],
+         "line 2: bad color '\u00b2'"),
+        (["verify", g2, files("vertex.txt", "\u00b2\t1\nv1\t2\n")],
+         "line 1: unknown vertex '\u00b2'"),
+        (["color", g2, "--method", "greedy", "--order", "0,\u00b9"],
+         "unknown vertex '\u00b9' in --order"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), (argv, err)
+        assert err.endswith(message + "\n") and err.count("\n") == 1, err
 
 
 def test_malformed_inputs_exit_2_with_one_line(files, capsys):

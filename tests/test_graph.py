@@ -114,3 +114,8 @@ def test_edge_list_accepts_names_and_comments():
 def test_edge_list_rejects_malformed(text):
     with pytest.raises(GraphFormatError):
         read_edge_list(text)
+
+
+def test_edge_list_names_win_over_decimals_and_zeros_lead():
+    g = read_edge_list("n 3\nnames 1 0 x\n1 x\n002 0\n")
+    assert list(g.edges()) == [(0, 2), (1, 2)]

@@ -13,7 +13,7 @@ from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
                         realized_graph, realizes, reconstruct_cotree,
                         to_binary, verify_hc)
 from cograph_hc.cotree import align_to_graph, node_chromatic_numbers
-from cograph_hc.hc_algorithms import _canonical_rename, _subtree_newicks
+from cograph_hc.hc_algorithms import _canonical_rename
 from cograph_hc.oracle import (all_binary_cotrees, brute_chromatic,
                                enumerate_alg1_outputs, proper_partitions)
 
@@ -282,6 +282,20 @@ def test_count_matches_brute_force_per_tree(small_cographs):
 
 
 # -- the counting pass against the two passes it replaced -----------------------
+
+def _subtree_newicks(t):
+    """Reference: each node's Newick text, built bottom-up from its
+    children's (quadratic on deep trees), without the name check."""
+    names = t.vertex_names()
+    text = [""] * t.n_nodes()
+    for u in t.postorder():
+        if t.is_leaf(u):
+            text[u] = names[t.vertex[u]]
+        else:
+            text[u] = "(" + ",".join(text[c] for c in t.children[u]) + ")" \
+                + str(t.label[u])
+    return text
+
 
 def reference_count_wrt(t):
     """Reference: the binary-only pass. Joins multiply, unions multiply by

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 
 from cograph_hc import (Cotree, Graph, NewickError, build_cotree, newick_read,
@@ -57,13 +60,42 @@ def test_write_rejects_names_that_cannot_read_back(name):
     assert repr(t) == "Cotree(<5 nodes>)"
 
 
-def test_roundtrip_depth_2000():
+def caterpillar(depth):
+    """Leaves v0..v{depth}, one per level, labels alternating."""
     t = Cotree()
-    acc = t.add_leaf(2000)
-    for v in range(1999, -1, -1):
+    acc = t.add_leaf(depth)
+    for v in range(depth - 1, -1, -1):
         acc = t.add_inner(v % 2, [t.add_leaf(v), acc])
     t.root = acc
+    return t
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_roundtrip_depth_2000():
+    t = caterpillar(2000)
     text = newick_write(t)
     again = newick_read(text)
     assert again == t
     assert newick_write(again) == text
+
+
+def test_write_depth_100000_in_linear_time_and_memory():
+    # keeping every subtree's text took 4.5 s and 1.8 GB at depth 2*10^4;
+    # depth 2000 (17 MB for such a writer) fails it before depth 10^5 would
+    # ask for tens of GB
+    small = caterpillar(2000)
+    assert traced_peak(lambda: newick_write(small)) < 4 << 20
+    t = caterpillar(100_000)
+    start = time.perf_counter()
+    text = newick_write(t)
+    assert time.perf_counter() - start < 1
+    assert traced_peak(lambda: newick_write(t)) < 200 << 20
+    assert newick_read(text) == t

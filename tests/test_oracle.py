@@ -205,6 +205,16 @@ def test_check_theorems_skips_non_cographs():
         assert any("not-a-cograph" in note for note in rep.notes)
 
 
+def test_check_theorems_size_guards():
+    # L3 and T-greedy-iff stop at n = 5, every other check at n = 6
+    k6, k7 = (Graph(n, itertools.combinations(range(n), 2)) for n in (6, 7))
+    for rep in oracle.check_theorems([k6, k7]):
+        guarded = [0, 1] if rep.theorem_id in ("L3", "T-greedy-iff") else [1]
+        assert (rep.checked, rep.skipped) == (2 - len(guarded), len(guarded))
+        assert [note for note in rep.notes if "size-guard" in note] \
+            == [f"instance {i}: size-guard" for i in guarded]
+
+
 def test_check_theorems_rejects_unknown_id():
     with pytest.raises(ValueError, match="unknown theorem id"):
         oracle.check_theorems([Graph(1)], ["T99"])
