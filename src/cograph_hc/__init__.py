@@ -5,8 +5,7 @@ coloring, hc-axiom verification, hc-coloring counting, and brute-force
 oracles that mechanically check the underlying theorems on small instances.
 """
 
-from .graph import (Graph, GraphFormatError, complement, connected_components,
-                    disjoint_union, induced_subgraph, join, read_edge_list,
+from .graph import (Graph, GraphFormatError, complement, read_edge_list,
                     write_edge_list)
 from .cotree import (Cotree, NewickError, NotACographError, P4Witness,
                      align_to_graph, build_cotree, chromatic_number,
@@ -14,8 +13,8 @@ from .cotree import (Cotree, NewickError, NotACographError, P4Witness,
                      newick_read, newick_write, realized_graph, realizes,
                      to_binary)
 from .coloring import (Coloring, Verdict, greedy_coloring, is_greedy,
-                       is_hc_coloring, is_proper, is_recursively_minimal,
-                       read_coloring, verify_hc, write_coloring)
+                       is_hc_coloring, is_proper, read_coloring, verify_hc,
+                       write_coloring)
 from .hc_algorithms import (CountReport, InjectionChooser, NodeCount,
                             NotHcColoringError, alg1_color, alg2_color,
                             count_hc_total, count_hc_wrt, g_injections,
@@ -23,16 +22,14 @@ from .hc_algorithms import (CountReport, InjectionChooser, NodeCount,
 from .generator import GenParams, exhaustive_cographs, random_cograph
 
 __all__ = [
-    "Graph", "GraphFormatError", "complement", "connected_components",
-    "disjoint_union", "induced_subgraph", "join", "read_edge_list",
+    "Graph", "GraphFormatError", "complement", "read_edge_list",
     "write_edge_list",
     "Cotree", "NewickError", "NotACographError", "P4Witness",
     "align_to_graph", "build_cotree", "chromatic_number", "is_binary",
     "is_discriminating", "make_discriminating", "newick_read", "newick_write",
     "realized_graph", "realizes", "to_binary",
     "Coloring", "Verdict", "greedy_coloring", "is_greedy", "is_hc_coloring",
-    "is_proper", "is_recursively_minimal", "read_coloring", "verify_hc",
-    "write_coloring",
+    "is_proper", "read_coloring", "verify_hc", "write_coloring",
     "CountReport", "InjectionChooser", "NodeCount", "NotHcColoringError",
     "alg1_color", "alg2_color", "count_hc_total", "count_hc_wrt",
     "g_injections", "reconstruct_cotree",

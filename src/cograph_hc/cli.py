@@ -110,10 +110,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
             import random
             order = list(range(g.n))
             random.Random(args.seed).shuffle(order)
-        try:
-            c = col.greedy_coloring(g, order)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        c = col.greedy_coloring(g, order)
     else:  # alg1
         chooser = hca.InjectionChooser("seeded-random", seed=args.seed)
         try:
@@ -138,15 +135,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not ct.is_binary(t):
             print("note: refined non-binary cotree to binary (left-comb)")
             t = ct.to_binary(t, "left-comb")
-        try:
-            verdict = col.verify_hc(g, t, c)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        verdict = col.verify_hc(g, t, c)
         if verdict.accepted:
             print("ACCEPT")
             return 0
-        leaves = sorted(names[v]
-                        for v in gr.bits(t.leaf_masks()[verdict.node]))
+        leaves, below = [], [verdict.node]
+        while below:
+            u = below.pop()
+            below.extend(t.children[u])
+            if t.is_leaf(u):
+                leaves.append(names[t.vertex[u]])
+        leaves.sort()
         s1, s2 = (sorted(s) for s in verdict.sets)
         print(f"{verdict.axiom} violation at node over "
               f"{{{','.join(leaves)}}}: color sets {s1} vs {s2}")

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, VertexIds, bits
-from .cotree import (Cotree, NotACographError, P4Witness, build_cotree,
-                     is_binary, realizes)
+from .graph import Graph, VertexIds, bits, _check_tokens
+from .cotree import Cotree, _cotree_of, is_binary, realizes
 
 Coloring = dict[int, int]
 
@@ -186,9 +185,10 @@ def verify_hc(g: Graph, t: Cotree, c: Coloring,
 
 # -- existential decision (over all binary cotrees) ---------------------------
 
-def _hc_refinement(g: Graph, c: Coloring) -> tuple[Cotree, Verdict]:
-    """A binary refinement of g's discriminating cotree on which c is hc if
-    it is hc w.r.t. any binary cotree, and the verdict on it.
+def _hc_refinement(t: Cotree, c: Coloring) -> tuple[Verdict, list]:
+    """Whether c is hc w.r.t. some binary refinement of the discriminating
+    cotree t (nodes numbered in postorder, as `build_cotree` numbers them),
+    and per node its children in comb order.
 
     One bottom-up pass with color bitmasks: a join becomes a right comb in
     child order, a union one in stable ascending order of color-set size.
@@ -196,41 +196,32 @@ def _hc_refinement(g: Graph, c: Coloring) -> tuple[Cotree, Verdict]:
     K2) or contained in (union, K3) the rest's; a rejection carries both
     sets of the first failing comb node in preorder.
     """
-    _check_domain(g, c)
-    t = build_cotree(g)
-    if isinstance(t, P4Witness):
-        raise NotACographError(t)
     bit, palette = _color_bits(c)
-    out = Cotree(names=g.names)
-    n_nodes = t.n_nodes()
-    built = [0] * n_nodes
-    masks = [0] * n_nodes
+    label, vertex = t.label, t.vertex
+    order = list(t.children)
+    masks = [0] * len(order)
     # per node, the first failing comb node in preorder below it
-    fail: list[tuple[int, int, int] | None] = [None] * n_nodes
-    for u in range(n_nodes):  # build_cotree numbers nodes in postorder
-        if t.is_leaf(u):
-            built[u] = out.add_leaf(t.vertex[u])
-            masks[u] = bit[t.vertex[u]]
+    fail: list[tuple[int, int, int] | None] = [None] * len(order)
+    for u, kids in enumerate(order):
+        if not kids:
+            masks[u] = bit[vertex[u]]
             continue
-        label = t.label[u]
-        kids = t.children[u]
-        if label == 0:
-            kids = sorted(kids, key=lambda k: masks[k].bit_count())
-        acc, rest, first = built[kids[-1]], masks[kids[-1]], fail[kids[-1]]
+        lab = label[u]
+        if lab == 0:
+            kids = order[u] = sorted(kids, key=lambda k: masks[k].bit_count())
+        rest, first = masks[kids[-1]], fail[kids[-1]]
         for k in reversed(kids[:-1]):  # comb nodes from the bottom up
             m = masks[k]
             first = fail[k] or first
-            if (m & rest) if label == 1 else (m & ~rest):
-                first = (label, m, rest)
-            acc = out.add_inner(label, [built[k], acc])
+            if (m & rest) if lab == 1 else (m & ~rest):
+                first = (lab, m, rest)
             rest |= m
-        built[u], masks[u], fail[u] = acc, rest, first
-    out.root = built[t.root]
+        masks[u], fail[u] = rest, first
     if fail[t.root] is None:
-        return out, Verdict(True)
-    label, m, rest = fail[t.root]
-    return out, Verdict(False, axiom="K2" if label == 1 else "K3",
-                        sets=(_colors(m, palette), _colors(rest, palette)))
+        return Verdict(True), order
+    lab, m, rest = fail[t.root]
+    return Verdict(False, axiom="K2" if lab == 1 else "K3",
+                   sets=(_colors(m, palette), _colors(rest, palette))), order
 
 
 def is_hc_coloring(g: Graph, c: Coloring) -> Verdict:
@@ -243,18 +234,15 @@ def is_hc_coloring(g: Graph, c: Coloring) -> Verdict:
     that meet (K2), or neither containing the other (K3; rest is the
     larger). `verify` prints this pair for hc=no.
     """
-    return _hc_refinement(g, c)[1]
-
-
-def is_recursively_minimal(g: Graph, c: Coloring) -> bool:
-    """Recursively minimal colorings coincide with hc-colorings."""
-    return is_hc_coloring(g, c).accepted
+    _check_domain(g, c)
+    return _hc_refinement(_cotree_of(g), c)[0]
 
 
 # -- coloring file format ------------------------------------------------------
 
 def write_coloring(g: Graph, c: Coloring) -> str:
     _check_domain(g, c)
+    _check_tokens(g.names, "a coloring")
     names = g.vertex_names()
     return "".join(f"{names[v]}\t{c[v]}\n" for v in range(g.n))
 

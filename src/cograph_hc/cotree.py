@@ -257,6 +257,15 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
     return t
 
 
+def _cotree_of(g: Graph) -> Cotree:
+    """The discriminating cotree of g, for the passes that take one; a P4
+    raises NotACographError carrying it."""
+    t = build_cotree(g)
+    if isinstance(t, P4Witness):
+        raise NotACographError(t)
+    return t
+
+
 def _peel(adj: tuple[int, ...], reps: list[int]) -> int:
     """Bitset of `reps` less its universal and isolated vertices, peeled
     until none is left. Degrees are counted once: each peeled universal

@@ -1,16 +1,16 @@
 """Undirected simple graphs over dense integer vertex ids.
 
 Adjacency is kept as one Python int bitset per vertex, which makes
-complementation and component extraction cheap even for a few thousand
-vertices. Vertices optionally carry distinct string names for CLI
-traceability; names survive induced subgraphs, unions and joins.
+complementation cheap even for a few thousand vertices. Vertices
+optionally carry distinct string names for CLI traceability; the edge-list
+and coloring files refer to a vertex by its name or by its decimal id.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import filterfalse
 from typing import Iterable, Iterator, Sequence
-
-VertexSet = tuple[int, ...]
 
 
 class GraphFormatError(ValueError):
@@ -82,9 +82,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 
@@ -120,28 +117,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def components_bits(adj: tuple[int, ...], sub: int) -> list[int]:
-    """Connected components of the subgraph induced by bitset `sub`.
-
-    Returned as bitsets, ordered by smallest member.
-    """
-    out = []
-    remaining = sub
-    while remaining:
-        start = remaining & -remaining
-        comp = 0
-        frontier = start
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & remaining & ~comp
-        out.append(comp)
-        remaining &= ~comp
-    return out
-
-
 # -- elementary operations -------------------------------------------------
 
 def complement(g: Graph) -> Graph:
@@ -150,89 +125,33 @@ def complement(g: Graph) -> Graph:
     return Graph._from_adj(g.n, adj, g.names)
 
 
-def induced_subgraph(g: Graph, vs: Iterable[int]) -> Graph:
-    """Subgraph on `vs`, vertex ids re-indexed densely, names preserved."""
-    ids = sorted(set(vs))
-    if not ids:
-        raise ValueError("empty-induced-set")
-    if ids[0] < 0 or ids[-1] >= g.n:
-        raise ValueError("bad-vertex-id")
-    pos = {v: i for i, v in enumerate(ids)}
-    mask = 0
-    for v in ids:
-        mask |= 1 << v
-    adj = [0] * len(ids)
-    for v in ids:
-        i = pos[v]
-        for u in bits(g.adj[v] & mask):
-            adj[i] |= 1 << pos[u]
-    names = None
-    if g.names is not None:
-        names = tuple(g.names[v] for v in ids)
-    return Graph._from_adj(len(ids), adj, names)
-
-
-def connected_components(g: Graph) -> list[VertexSet]:
-    """Partition into maximal connected sets, ordered by smallest member."""
-    full = (1 << g.n) - 1
-    return [tuple(bits(c)) for c in components_bits(g.adj, full)]
-
-
-def _resolve_names(gs: list[Graph]) -> tuple[str, ...] | None:
-    if all(g.names is None for g in gs):
-        return None
-    seen: set[str] = set()
-    out = []
-    for g in gs:
-        for name in g.vertex_names():
-            if name in seen:
-                k = 2
-                while f"{name}.{k}" in seen:
-                    k += 1
-                name = f"{name}.{k}"
-            seen.add(name)
-            out.append(name)
-    return tuple(out)
-
-
-def disjoint_union(gs: list[Graph]) -> Graph:
-    """Vertex-disjoint union with ids shifted block by block."""
-    if not gs:
-        raise ValueError("empty graph list")
-    n = sum(g.n for g in gs)
-    adj = []
-    offset = 0
-    for g in gs:
-        adj.extend(a << offset for a in g.adj)
-        offset += g.n
-    return Graph._from_adj(n, adj, _resolve_names(gs))
-
-
-def join(gs: list[Graph]) -> Graph:
-    """Disjoint union plus all edges between distinct constituents."""
-    if not gs:
-        raise ValueError("empty graph list")
-    base = disjoint_union(gs)
-    n = base.n
-    full = (1 << n) - 1
-    adj = list(base.adj)
-    offset = 0
-    for g in gs:
-        block = ((1 << g.n) - 1) << offset
-        outside = full & ~block
-        for v in range(offset, offset + g.n):
-            adj[v] |= outside
-        offset += g.n
-    return Graph._from_adj(n, adj, base.names)
-
-
 # -- edge-list text format -------------------------------------------------
 
+# a vertex token of the edge-list and coloring files
+_TOKEN = re.compile(r"[^\s#]+")
+
+
+def _check_tokens(names: Sequence[str] | None, where: str) -> None:
+    """Refuse, with ValueError, a vertex name that the file readers cannot
+    hold: empty, or holding whitespace or "#"."""
+    for name in filterfalse(_TOKEN.fullmatch, names or ()):
+        raise ValueError(f"vertex name {name!r} cannot be written to {where}")
+
+
 def write_edge_list(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    if g.names is not None:
-        lines.append("names " + " ".join(g.names))
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    """Edge-list text that `read_edge_list` reads back as g. The reader
+    resolves a name before a decimal id, so the edges are written by name
+    when some id would read back as another vertex, and as ids otherwise."""
+    names, lines, by_name = g.names, [f"n {g.n}"], False
+    if names is not None:
+        _check_tokens(names, "an edge list")
+        lines.append("names " + " ".join(names))
+        ids = VertexIds(names)
+        by_name = any(ids[str(v)] != v for v in range(g.n))
+    if by_name:
+        lines.extend(f"{names[u]} {names[v]}" for u, v in g.edges())
+    else:
+        lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 

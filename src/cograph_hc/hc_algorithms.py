@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graph import Graph
-from .cotree import (Cotree, P4Witness, NotACographError, build_cotree,
-                     _newick_spans, is_binary, realizes)
-from .coloring import Coloring, _hc_refinement
+from .cotree import Cotree, _cotree_of, _newick_spans, is_binary, realizes
+from .coloring import Coloring, _check_domain, _hc_refinement
 
 
 class NotHcColoringError(ValueError):
@@ -81,8 +80,7 @@ def _canonical_rename(sigma: list[int]) -> Coloring:
     return out
 
 
-def _recolor_bottom_up(g: Graph, t: Cotree,
-                       chooser: InjectionChooser) -> Coloring:
+def _recolor_bottom_up(t: Cotree, chooser: InjectionChooser) -> Coloring:
     """Shared core: groups at a 0-node are the child subtrees of t.
 
     Vertex v starts with color v + 1. Each pending subtree keeps the sorted
@@ -115,17 +113,15 @@ def _recolor_bottom_up(g: Graph, t: Cotree,
         y = recolored[x]
         recolored[x] = recolored.get(y, y)
     return _canonical_rename([recolored.get(v + 1, v + 1)
-                              for v in range(g.n)])
+                              for v in range(t.n_leaves())])
 
 
 def alg1_color(g: Graph,
                chooser: InjectionChooser = InjectionChooser()
                ) -> tuple[Coloring, Cotree]:
     """Recursively minimal coloring along the discriminating cotree."""
-    t = build_cotree(g)
-    if isinstance(t, P4Witness):
-        raise NotACographError(t)
-    return _recolor_bottom_up(g, t, chooser), t
+    t = _cotree_of(g)
+    return _recolor_bottom_up(t, chooser), t
 
 
 def alg2_color(g: Graph, t: Cotree,
@@ -133,19 +129,30 @@ def alg2_color(g: Graph, t: Cotree,
     """Recursively minimal coloring w.r.t. a user-supplied cotree of g."""
     if not realizes(t, g):
         raise ValueError("cotree-graph-mismatch")
-    return _recolor_bottom_up(g, t, chooser)
+    return _recolor_bottom_up(t, chooser)
 
 
 # -- binary cotree reconstruction from an hc-colored cograph -------------------
 
 def reconstruct_cotree(g: Graph, c: Coloring) -> Cotree:
     """Recover a binary cotree witnessing that c is an hc-coloring: the
-    refinement `is_hc_coloring` decides on (see `_hc_refinement`). Else
-    NotHcColoringError carries the sets of `is_hc_coloring`'s verdict."""
-    t, verdict = _hc_refinement(g, c)
+    refinement `is_hc_coloring` decides on, each node's children combed in
+    the order `_hc_refinement` gives. Else NotHcColoringError carries the
+    sets of `is_hc_coloring`'s verdict."""
+    _check_domain(g, c)
+    t = _cotree_of(g)
+    verdict, order = _hc_refinement(t, c)
     if not verdict:
         raise NotHcColoringError(verdict.sets)
-    return t
+    out = Cotree(names=t.names)
+    built = [0] * len(order)
+    for u, kids in enumerate(order):  # a leaf has no comb nodes
+        acc = built[kids[-1]] if kids else out.add_leaf(t.vertex[u])
+        for k in reversed(kids[:-1]):
+            acc = out.add_inner(t.label[u], [built[k], acc])
+        built[u] = acc
+    out.root = built[t.root]
+    return out
 
 
 # -- counting -------------------------------------------------------------------
@@ -157,8 +164,7 @@ def g_injections(s1: int, s2: int) -> int:
     return math.perm(s2, s1)
 
 
-@dataclass(frozen=True)
-class NodeCount:
+class NodeCount(NamedTuple):
     path: str  # Newick serialization of the subtree
     partitions: int  # hc-colorings up to color renaming
     colors: int  # size of the color set used below this node
@@ -231,10 +237,7 @@ def _count(t: Cotree) -> CountReport:
 
 
 def count_hc_wrt(t: Cotree) -> CountReport:
-    """Count hc-colorings w.r.t. a fixed binary cotree, by the one
-    counting rule of `_count`: leaves count 1, joins multiply, and a union
-    multiplies by the injections of its smaller child's color set into
-    its larger one's; the labeled total is the root count times s!."""
+    """Count hc-colorings w.r.t. a fixed binary cotree (see `_count`)."""
     if not is_binary(t):
         raise ValueError("cotree-not-binary")
     return _count(t)
@@ -248,7 +251,4 @@ def count_hc_total(g: Graph) -> CountReport:
     child's color set lies in that of a largest child, which is exactly
     the union step of `_count`.
     """
-    t = build_cotree(g)
-    if isinstance(t, P4Witness):
-        raise NotACographError(t)
-    return _count(t)
+    return _count(_cotree_of(g))

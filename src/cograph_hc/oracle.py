@@ -1,18 +1,22 @@
 """Brute-force reference implementations and mechanical theorem checks.
 
 Nothing here shares algorithmic code with the fast paths: cograph-ness,
-chromatic and Grundy numbers come from exhaustive search, the binary
-cotrees of a graph from splitting its vertex set in every way, hc-ness and
-recursive minimality from checking a subset table of color bitmasks
-against every such tree, and greedy-ness from enumerating every vertex
-order. Each check still calls the fast path it tests (`greedy_coloring`,
-`is_greedy`, `is_hc_coloring`, `alg1_color`, the counting functions). Size
-guards raise instead of silently taking forever.
+chromatic and Grundy numbers and components come from exhaustive search
+over vertex bitsets, the binary cotrees of a graph from splitting its
+vertex set in every way, hc-ness and recursive minimality from checking a
+subset table of color bitmasks against every such tree, and greedy-ness
+from enumerating every vertex order. Each check still calls the fast path
+it tests: `greedy_coloring`, `is_greedy`, `count_hc_wrt`, and the tree
+passes behind `is_hc_coloring`, `alg1_color` and `count_hc_total`
+(`_hc_refinement`, `_recolor_bottom_up`, `_count`), all run on the one
+discriminating cotree `build_cotree` gives for the instance. Size guards
+raise instead of silently taking forever.
 
-`check_theorems` enumerates each instance once for all checks: the binary
-cotrees, the proper partitions, greedy's output for every vertex order and
-each coloring's verdicts against every tree are shared through `_GraphCtx`.
-Nothing outlives the instance: no tree or table is kept at module level.
+`check_theorems` enumerates each instance once for all checks: the
+discriminating cotree, the binary cotrees, the proper partitions, greedy's
+output for every vertex order and each coloring's verdicts against every
+tree are shared through `_GraphCtx`. Nothing outlives the instance: no
+tree or table is kept at module level.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graph import Graph, bits, connected_components, induced_subgraph
-from .cotree import Cotree, P4Witness
-from .coloring import Coloring, greedy_coloring, is_greedy, is_hc_coloring
-from .hc_algorithms import InjectionChooser, alg1_color, count_hc_total, \
+from .graph import Graph, bits
+from .cotree import Cotree, P4Witness, _cotree_of
+from .coloring import Coloring, _hc_refinement, greedy_coloring, is_greedy
+from .hc_algorithms import InjectionChooser, _count, _recolor_bottom_up, \
     count_hc_wrt
 
 THEOREM_IDS = ("T1", "L2", "L3", "T-greedy-iff", "T3", "T4", "COUNT")
@@ -58,28 +62,49 @@ def brute_chromatic(g: Graph) -> int:
         raise ValueError("size-guard: brute_chromatic needs n <= 10")
     if g.n == 0:
         raise ValueError("empty-graph")
-    adj = g.adj
+    return _chromatic(g.adj, (1 << g.n) - 1)
 
-    def colorable(k: int) -> bool:
-        assign = [0] * g.n
 
-        def place(v: int) -> bool:
-            if v == g.n:
-                return True
-            forbidden = {assign[u] for u in bits(adj[v]) if u < v}
-            for col in range(1, k + 1):
-                if col not in forbidden:
-                    assign[v] = col
-                    if place(v + 1):
-                        return True
-            return False
+def _chromatic(adj: tuple[int, ...], mask: int) -> int:
+    """Chromatic number of the subgraph induced by the vertex bitset
+    `mask`: the smallest k for which backtracking, placing the vertices in
+    id order, finds a proper coloring."""
+    vs = list(bits(mask))
+    assign: dict[int, int] = {}
 
-        return place(0)
+    def place(i: int, k: int) -> bool:
+        if i == len(vs):
+            return True
+        v = vs[i]
+        forbidden = {assign[u] for u in bits(adj[v] & mask) if u < v}
+        for col in range(1, k + 1):
+            if col not in forbidden:
+                assign[v] = col
+                if place(i + 1, k):
+                    return True
+        return False
 
     k = 1
-    while not colorable(k):
+    while not place(0, k):
         k += 1
     return k
+
+
+def _components(adj: tuple[int, ...], mask: int) -> list[int]:
+    """Connected components of the subgraph induced by `mask`, as
+    bitsets ordered by smallest member, by breadth-first search."""
+    out = []
+    while mask:
+        comp, frontier = 0, mask & -mask
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= adj[v]
+            frontier = nxt & mask & ~comp
+        out.append(comp)
+        mask &= ~comp
+    return out
 
 
 _LOWEST_ZERO = tuple(next(i for i in range(12) if not m >> i & 1)
@@ -248,17 +273,18 @@ def all_binary_cotrees(g: Graph) -> list[Cotree]:
     return [_to_cotree(s, g.names) for s in _TreeIndex(g).shapes]
 
 
-def enumerate_alg1_outputs(g: Graph):
-    """Yield every output the recursive coloring algorithm can produce,
-    exhausting the injection choices (tiny instances only)."""
+def enumerate_alg1_outputs(t: Cotree):
+    """Yield every output the recursive coloring algorithm can produce on
+    cotree t, exhausting the injection choices (tiny instances only)."""
     events: list[tuple[int, int]] = []
 
     def recorder(src: tuple[int, ...], tgt: tuple[int, ...]) -> dict[int, int]:
         events.append((len(src), len(tgt)))
         return dict(zip(src, tgt[: len(src)]))
 
-    alg1_color(g, InjectionChooser("exhaustive-callback", callback=recorder))
-    option_counts = [math.perm(t, s) for s, t in events]
+    _recolor_bottom_up(t, InjectionChooser("exhaustive-callback",
+                                           callback=recorder))
+    option_counts = [math.perm(b, a) for a, b in events]
     for combo in itertools.product(*(range(k) for k in option_counts)):
         picks = iter(combo)
 
@@ -268,9 +294,8 @@ def enumerate_alg1_outputs(g: Graph):
             images = list(itertools.permutations(tgt, len(src)))[idx]
             return dict(zip(src, images))
 
-        coloring, _ = alg1_color(
-            g, InjectionChooser("exhaustive-callback", callback=chooser_cb))
-        yield coloring
+        yield _recolor_bottom_up(
+            t, InjectionChooser("exhaustive-callback", callback=chooser_cb))
 
 
 # -- theorem reports ------------------------------------------------------------
@@ -322,6 +347,11 @@ class _GraphCtx:
         self._color_set_memo: dict[tuple[int, ...], list[int]] = {}
         self._verdict_memo: dict[tuple[int, ...], tuple[bool, ...]] = {}
         self._minimal_memo: dict[tuple[int, ...], bool] = {}
+
+    @cached_property
+    def cotree(self) -> Cotree:
+        """The discriminating cotree, which the fast-path passes run on."""
+        return _cotree_of(self.g)
 
     @cached_property
     def chi(self) -> int:
@@ -380,8 +410,7 @@ class _GraphCtx:
     @cached_property
     def node_chis(self) -> list[tuple[int, int, int]]:
         """(mask, bit, brute-force chromatic number) per inner node mask."""
-        return [(mask, bit,
-                 brute_chromatic(induced_subgraph(self.g, bits(mask))))
+        return [(mask, bit, _chromatic(self.g.adj, mask))
                 for mask, bit in self.index.node_masks.items()]
 
     def recursively_minimal(self, c: Coloring) -> bool:
@@ -456,8 +485,9 @@ def _check_l2(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         orders = [tuple(rng.sample(pool, g.n)) for _ in range(200)]
         runs = [(order, _greedy_run(g, order)) for order in orders]
         rep.notes.append(f"instance {idx}: sampled 200 orders")
-    comps = connected_components(g)
-    comp_chi = [brute_chromatic(induced_subgraph(g, comp)) for comp in comps]
+    masks = _components(g.adj, (1 << g.n) - 1)
+    comps = [tuple(bits(m)) for m in masks]
+    comp_chi = [_chromatic(g.adj, m) for m in masks]
     for order, flat in runs:
         if len(set(flat)) != ctx.chi:
             rep.counterexamples.append((idx, order, "gamma>chi"))
@@ -526,9 +556,8 @@ def _check_t3(rep: TheoremReport, idx: int, ctx: _GraphCtx,
               rng: random.Random) -> None:
     """is_hc_coloring == exists-cotree brute force == direct recursive
     minimality, over all proper partitions."""
-    g = ctx.g
     for c, brute in zip(ctx.partitions, ctx.accepted_mask):
-        fast = is_hc_coloring(g, c).accepted
+        fast = _hc_refinement(ctx.cotree, c)[0].accepted
         direct = ctx.recursively_minimal(c)
         if not (fast == brute == direct):
             rep.counterexamples.append((idx, c, fast, brute, direct))
@@ -539,17 +568,17 @@ def _check_t4(rep: TheoremReport, idx: int, ctx: _GraphCtx,
               rng: random.Random) -> None:
     """Alg. 1 outputs are recursively minimal; with exhausted injections
     the output set equals the hc set up to renaming (n <= 5)."""
-    g = ctx.g
+    g, t = ctx.g, ctx.cotree
     choosers = [InjectionChooser("identity-prefix"),
                 InjectionChooser("seeded-random", seed=rng.getrandbits(32))]
     for chooser in choosers:
-        c, _ = alg1_color(g, chooser)
-        if not is_hc_coloring(g, c).accepted:
+        c = _recolor_bottom_up(t, chooser)
+        if not _hc_refinement(t, c)[0].accepted:
             rep.counterexamples.append((idx, chooser.strategy, c))
         elif not ctx.recursively_minimal(c):
             rep.counterexamples.append((idx, chooser.strategy, c, "direct"))
     if g.n <= 5:
-        produced = {_partition_key(c, g.n) for c in enumerate_alg1_outputs(g)}
+        produced = {_partition_key(c, g.n) for c in enumerate_alg1_outputs(t)}
         hc_set = {_partition_key(c, g.n)
                   for c, acc in zip(ctx.partitions, ctx.accepted_mask) if acc}
         if produced != hc_set:
@@ -568,7 +597,6 @@ def _partition_key(c: Coloring, n: int) -> frozenset[frozenset[int]]:
 def _check_count(rep: TheoremReport, idx: int, ctx: _GraphCtx,
                  rng: random.Random) -> None:
     """Counting formulas against brute-force enumeration."""
-    g = ctx.g
     chi_fact = math.factorial(ctx.chi)
     root_counts = set()
     columns = zip(*(ctx.verdicts(c) for c in ctx.partitions))
@@ -584,7 +612,7 @@ def _check_count(rep: TheoremReport, idx: int, ctx: _GraphCtx,
             f"instance {idx}: per-cotree count differs across binary "
             f"cotrees: {sorted(root_counts)}")
     brute_total = sum(ctx.accepted_mask) * chi_fact
-    total = count_hc_total(g).labeled_total
+    total = _count(ctx.cotree).labeled_total
     if total != brute_total:
         rep.counterexamples.append((idx, "total", total, brute_total))
     rep.checked += 1

@@ -62,6 +62,21 @@ def test_cotree_rejects_names_that_cannot_read_back(files, capsys, tmp_path):
     assert not out.exists()
 
 
+def test_realize_writes_an_edge_list_that_reads_back(files, capsys,
+                                                    tmp_path):
+    out = tmp_path / "g.txt"
+    assert main(["cotree", files("t.nwk", "((2,0)1,1)0;\n"), "--realize",
+                 "-o", str(out)]) == 0
+    assert main(["recognize", str(out)]) == 0
+    assert capsys.readouterr().out == "COGRAPH ((2,0)1,1)0;\n"
+    hash_out = tmp_path / "h.txt"
+    assert main(["cotree", files("u.nwk", "((a#b,c)1,d)0;\n"), "--realize",
+                 "-o", str(hash_out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: vertex name 'a#b' cannot be written to an edge list\n")
+    assert not hash_out.exists()
+
+
 def test_count_refuses_names_that_cannot_be_written(files, capsys):
     # the old per-node writer printed "node (a(x,b,y)1 ...", three leaves
     graph = files("g.txt", "n 3\nnames a(x b,y c\na(x b,y\n")

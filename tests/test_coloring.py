@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
-from cograph_hc import (Graph, NotACographError, build_cotree, greedy_coloring,
-                        is_greedy, is_hc_coloring, is_proper,
-                        is_recursively_minimal, newick_read, read_coloring,
-                        to_binary, verify_hc, write_coloring)
+from cograph_hc import (Cotree, GenParams, Graph, NotACographError,
+                        alg1_color, build_cotree, greedy_coloring, is_greedy,
+                        is_hc_coloring, is_proper, newick_read,
+                        random_cograph, read_coloring, to_binary, verify_hc,
+                        write_coloring)
+from cograph_hc import coloring, cotree
 from cograph_hc.cotree import align_to_graph
 
 
@@ -130,17 +132,38 @@ def test_is_hc_coloring(k2_k1_k1, coloring_a, coloring_b):
     assert is_hc_coloring(two, {0: 1, 1: 1}).accepted
 
 
+def test_is_recursively_minimal(k2_k1_k1, coloring_b):
+    # a coloring of a cograph is recursively minimal iff it is an
+    # hc-coloring (theorem T3), so is_hc_coloring decides both
+    assert is_hc_coloring(k2_k1_k1, coloring_b).accepted
+    assert not is_hc_coloring(k2_k1_k1, {0: 1, 1: 2, 2: 3, 3: 3}).accepted
+    k2_k1 = Graph(3, [(0, 1)])
+    assert not is_hc_coloring(k2_k1, {0: 1, 1: 2, 2: 3}).accepted
+
+
 def test_is_hc_coloring_rejects_non_cograph():
     p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(NotACographError):
         is_hc_coloring(p4, {0: 1, 1: 2, 2: 1, 3: 2})
 
 
-def test_is_recursively_minimal(k2_k1_k1, coloring_b):
-    assert is_recursively_minimal(k2_k1_k1, coloring_b)
-    assert not is_recursively_minimal(k2_k1_k1, {0: 1, 1: 2, 2: 3, 3: 3})
-    k2_k1 = Graph(3, [(0, 1)])
-    assert not is_recursively_minimal(k2_k1, {0: 1, 1: 2, 2: 3})
+def test_is_hc_coloring_adds_no_node_to_any_tree(monkeypatch):
+    # the verdict is one pass over the discriminating cotree: given that
+    # tree, is_hc_coloring adds no leaf and no inner node to any Cotree
+    g, _ = random_cograph(GenParams(n=60, seed=2))
+    t = build_cotree(g)
+    c, _ = alg1_color(g)
+    bad = {**c, 0: max(c.values()) + 1}  # chi + 1 colors: not hc
+    monkeypatch.setattr(cotree, "build_cotree", lambda h: t)
+    monkeypatch.setattr(coloring, "build_cotree", lambda h: t, raising=False)
+    added = []
+    monkeypatch.setattr(Cotree, "add_leaf",
+                        lambda self, v: added.append(v))
+    monkeypatch.setattr(Cotree, "add_inner",
+                        lambda self, label, kids: added.append(kids))
+    assert is_hc_coloring(g, c).accepted
+    assert not is_hc_coloring(g, bad).accepted
+    assert added == []
 
 
 def test_coloring_file_roundtrip(k2_k1_k1, coloring_a):

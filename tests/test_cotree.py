@@ -7,11 +7,11 @@ import pytest
 
 from cograph_hc import (Cotree, GenParams, Graph, P4Witness, align_to_graph,
                         build_cotree, chromatic_number, complement,
-                        is_binary, is_discriminating, join,
+                        is_binary, is_discriminating,
                         make_discriminating, newick_read, newick_write,
                         random_cograph, realized_graph, realizes, to_binary)
 from cograph_hc.cotree import LEAF, _find_p4_in
-from cograph_hc.graph import bits, components_bits
+from cograph_hc.graph import bits
 from cograph_hc.oracle import find_induced_p4
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)], names=("a", "b", "c", "d"))
@@ -43,6 +43,23 @@ def test_every_p4_witness_on_5_vertices_induces_a_p4():
 
 
 # -- bottom-up twin merging against the top-down decomposition ---------------
+
+def components_bits(adj, sub):
+    """Connected components of the subgraph induced by bitset `sub`, as
+    bitsets ordered by smallest member."""
+    out, remaining = [], sub
+    while remaining:
+        comp, frontier = 0, remaining & -remaining
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= adj[v]
+            frontier = nxt & remaining & ~comp
+        out.append(comp)
+        remaining &= ~comp
+    return out
+
 
 def _co_components(adj, sub):
     """Components of the complement of the subgraph induced by `sub`."""
@@ -244,7 +261,7 @@ def test_postorder_is_a_cached_tuple_that_follows_the_tree():
 
 def test_chromatic_number(k2_k1_k1):
     assert chromatic_number(build_cotree(Graph(1))) == 1
-    k4 = join([Graph(1), join([Graph(1), join([Graph(1), Graph(1)])])])
+    k4 = realized_graph(newick_read("(a,(b,(c,d)1)1)1;"))
     assert chromatic_number(build_cotree(k4)) == 4
     assert chromatic_number(build_cotree(k2_k1_k1)) == 2
 

@@ -9,7 +9,7 @@ from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
                         NotACographError, NotHcColoringError, alg1_color,
                         alg2_color, build_cotree, count_hc_total,
                         count_hc_wrt, g_injections, is_hc_coloring,
-                        is_recursively_minimal, newick_read, random_cograph,
+                        newick_read, random_cograph,
                         realized_graph, realizes, reconstruct_cotree,
                         to_binary, verify_hc)
 from cograph_hc.cotree import align_to_graph, node_chromatic_numbers
@@ -46,7 +46,7 @@ def test_alg1_seeded_random_deterministic(k2_k1_k1):
     runs = [alg1_color(k2_k1_k1, InjectionChooser("seeded-random", seed=11))[0]
             for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
-    assert is_recursively_minimal(k2_k1_k1, runs[0])
+    assert is_hc_coloring(k2_k1_k1, runs[0]).accepted
 
 
 def test_alg1_sound_on_small_corpus(small_cographs):
@@ -54,7 +54,7 @@ def test_alg1_sound_on_small_corpus(small_cographs):
         for chooser in (InjectionChooser("identity-prefix"),
                         InjectionChooser("seeded-random", seed=3)):
             c, _ = alg1_color(g, chooser)
-            assert is_recursively_minimal(g, c)
+            assert is_hc_coloring(g, c).accepted
             assert len(set(c.values())) == brute_chromatic(g)
 
 
@@ -400,7 +400,8 @@ def test_exhaustive_outputs_cover_hc_set(k2_k1_k1):
             blocks.setdefault(col, set()).add(v)
         return frozenset(frozenset(b) for b in blocks.values())
 
-    produced = {key(c) for c in enumerate_alg1_outputs(k2_k1_k1)}
+    produced = {key(c)
+                for c in enumerate_alg1_outputs(build_cotree(k2_k1_k1))}
     hc = {key(c) for c in proper_partitions(k2_k1_k1)
           if is_hc_coloring(k2_k1_k1, c).accepted}
     assert produced == hc

@@ -27,6 +27,25 @@ def test_brute_chromatic():
         oracle.brute_chromatic(Graph(11))
 
 
+def test_components():
+    # the oracle's own components, as bitsets ordered by smallest member
+    k2_k1_k1 = Graph(4, [(0, 1)])
+    assert oracle._components(k2_k1_k1.adj, 0b1111) == [0b11, 0b100, 0b1000]
+    assert oracle._components(Graph(1).adj, 1) == [1]
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert oracle._components(c4.adj, 0b1111) == [0b1111]
+    assert oracle._components(c4.adj, 0b0101) == [0b1, 0b100]
+
+
+def test_chromatic_over_a_vertex_mask():
+    # the chromatic number of an induced subgraph, given by its bitset
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert oracle._chromatic(c5.adj, 0b11111) == 3
+    assert oracle._chromatic(c5.adj, 0b01111) == 2  # a path
+    assert oracle._chromatic(c5.adj, 0b10100) == 1  # 2 and 4 apart
+    assert oracle._chromatic(P4.adj, 0b0110) == 2
+
+
 def test_brute_grundy():
     assert oracle.brute_grundy(Graph(1)) == 1
     # the 4-path is not well-colored: some order needs 3 colors
@@ -254,14 +273,21 @@ def test_report_render_contract():
 
 def test_sweep_runs_greedy_and_verify_hc_once_per_distinct_call(monkeypatch):
     # each instance's greedy runs are enumerated once and shared by every
-    # check that needs them; the tree verdicts come from the oracle's own
-    # kernel, so verify_hc, which they are meant to check, is never called
+    # check that needs them, and so is its one discriminating cotree; the
+    # tree verdicts come from the oracle's own kernel, so verify_hc, which
+    # they are meant to check, is never called
     import cograph_hc
-    from cograph_hc import coloring
+    from cograph_hc import coloring, cotree, hc_algorithms
     corpus = [g for n in range(1, 5) for g in exhaustive_cographs(n)]
     greedy_calls: Counter = Counter()
+    tree_calls: Counter = Counter()
     verify_calls = []
     greedy, verify = oracle.greedy_coloring, coloring.verify_hc
+    build = cotree.build_cotree
+
+    def counting_build(g):
+        tree_calls[g] += 1
+        return build(g)
 
     def counting_greedy(g, order):
         greedy_calls[g] += 1
@@ -274,10 +300,15 @@ def test_sweep_runs_greedy_and_verify_hc_once_per_distinct_call(monkeypatch):
     monkeypatch.setattr(oracle, "greedy_coloring", counting_greedy)
     monkeypatch.setattr(coloring, "verify_hc", counting_verify)
     monkeypatch.setattr(cograph_hc, "verify_hc", counting_verify)
+    for space in (cotree, coloring, hc_algorithms, oracle):
+        monkeypatch.setattr(space, "build_cotree", counting_build,
+                            raising=False)
     reports = oracle.check_theorems(corpus)
     assert all(r.passed and r.checked == len(corpus) for r in reports)
     assert set(greedy_calls) == set(corpus)
     assert all(k <= math.factorial(g.n) for g, k in greedy_calls.items())
+    assert set(tree_calls) == set(corpus)
+    assert max(tree_calls.values()) == 1
     assert verify_calls == [] and not hasattr(oracle, "verify_hc")
 
 

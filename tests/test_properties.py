@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from cograph_hc import (GenParams, Graph, InjectionChooser, alg1_color,
                         build_cotree, complement, greedy_coloring,
                         is_hc_coloring, make_discriminating, newick_read,
-                        newick_write, random_cograph, realized_graph,
-                        to_binary, verify_hc)
+                        newick_write, random_cograph, read_coloring,
+                        read_edge_list, realized_graph, to_binary, verify_hc,
+                        write_coloring, write_edge_list)
 from cograph_hc.oracle import brute_chromatic
 
 gen_params = st.builds(
@@ -86,3 +87,51 @@ def test_hc_verdict_invariant_under_color_renaming(p, perm):
     bt = to_binary(t)
     assert verify_hc(g, bt, c).accepted == verify_hc(g, bt, relabeled).accepted
     assert is_hc_coloring(g, relabeled).accepted
+
+
+# -- every writer reads back as what it wrote, whatever the names -------------
+
+@st.composite
+def adversarial_names(draw, n):
+    """n distinct names that are easy to misread as ids: permuted decimals,
+    decimals with leading zeros, other vertices' ids, non-ASCII digits."""
+    pool = ([str(i) for i in range(2 * n)] + [f"0{i}" for i in range(n)]
+            + ["00", "²", "١", "٣٢", "𝟘", "v0", "x"])
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n,
+                               unique=True)))
+
+
+@st.composite
+def named_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges, names=draw(adversarial_names(n)))
+
+
+@given(named_graphs())
+@settings(max_examples=200, deadline=None)
+def test_edge_list_reads_back_as_written(g):
+    assert read_edge_list(write_edge_list(g)) == g
+
+
+@given(named_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_coloring_reads_back_as_written(g, data):
+    c = {v: data.draw(st.integers(min_value=1, max_value=g.n + 2))
+         for v in range(g.n)}
+    assert read_coloring(write_coloring(g, c), g) == c
+
+
+@given(gen_params.filter(lambda p: p.n <= 12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_newick_reads_back_as_written(p, data):
+    _, t = random_cograph(p)
+    t.names = data.draw(adversarial_names(p.n))
+
+    def named(tree):  # the tree with its leaves by name, in postorder
+        return [(tree.label[u], tree.names[tree.vertex[u]]
+                 if tree.is_leaf(u) else None, len(tree.children[u]))
+                for u in tree.postorder()]
+
+    assert named(newick_read(newick_write(t))) == named(t)

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
                         NotHcColoringError, Verdict, alg1_color, build_cotree,
-                        chromatic_number, disjoint_union, exhaustive_cographs,
+                        chromatic_number, exhaustive_cographs,
                         greedy_coloring, is_binary, is_greedy, is_hc_coloring,
-                        is_proper, join, newick_write, random_cograph,
+                        is_proper, newick_write, random_cograph,
                         realized_graph, realizes, reconstruct_cotree,
                         to_binary, verify_hc)
 from cograph_hc.coloring import (_color_bits, _colors, _greedy_witness,
@@ -88,12 +88,15 @@ def test_realized_graph_on_a_deep_caterpillar():
     t = caterpillar(1000, leaves_per_level=2)
     g = realized_graph(t)
     assert realized_graph(to_binary(t)) == g
-    # the same graph built bottom-up with graph operations
-    ref = Graph(1)
-    for level in range(999, -1, -1):
-        ref = (join if level % 2 else disjoint_union)([Graph(1), Graph(1),
-                                                         ref])
-    assert g.adj == ref.adj
+    # the same graph by hand: vertices 2L and 2L+1 hang off level L, a join
+    # iff L is odd, and vertex 2000 ends the spine, so vertices u < v are
+    # adjacent iff u's level is odd
+    n, full = 2001, (1 << 2001) - 1
+    odd = sum(1 << u for u in range(n - 1) if u // 2 % 2)
+    ref = tuple(odd & ((1 << v) - 1)
+                | (full >> (v + 1) << (v + 1) if v // 2 % 2 else 0)
+                for v in range(n))
+    assert g.adj == ref
 
 
 # -- bitmask is_proper / is_greedy against per-edge definitions ----------------
