@@ -85,19 +85,28 @@ def is_proper(g: Graph, c: Coloring) -> bool:
 
 
 def greedy_coloring(g: Graph, order: Sequence[int]) -> Coloring:
-    """Color vertices in `order` with the first available color."""
+    """Color vertices in `order` with the first available color.
+
+    First fit by class: `classes[k - 1]` is the vertex bitset of color k so
+    far, and v takes the first k whose class misses adj[v], else a new
+    color. A vertex that gets color k has an earlier neighbor in each of
+    classes 1..k-1, so a run makes at most m + n class tests, one AND each.
+    """
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertices")
+    adj = g.adj
+    classes: list[int] = []
     c: Coloring = {}
     for v in order:
-        used = 0
-        for u in bits(g.adj[v]):
-            if u in c:
-                used |= 1 << c[u]
-        col = 1
-        while used >> col & 1:
-            col += 1
-        c[v] = col
+        nbrs = adj[v]
+        for k, members in enumerate(classes, 1):
+            if not nbrs & members:
+                classes[k - 1] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+            k = len(classes)
+        c[v] = k
     return c
 
 

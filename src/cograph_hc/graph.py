@@ -110,7 +110,8 @@ class Graph:
 # -- bitset helpers (shared by the cotree decomposition) ------------------
 
 def bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
+    """Indices of set bits, ascending. Each step rebuilds the mask,
+    Theta(width) per bit, so this suits narrow masks only."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

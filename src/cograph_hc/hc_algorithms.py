@@ -55,7 +55,7 @@ class InjectionChooser:
         if self.strategy == "exhaustive-callback" and self.callback is None:
             raise ValueError("exhaustive-callback needs a callback")
 
-    def _choose(self, rng: random.Random, source: tuple[int, ...],
+    def _choose(self, rng: random.Random | None, source: tuple[int, ...],
                 target: tuple[int, ...]) -> dict[int, int]:
         if self.strategy == "identity-prefix":
             return dict(zip(source, target[: len(source)]))
@@ -90,7 +90,8 @@ def _recolor_bottom_up(t: Cotree, chooser: InjectionChooser) -> Coloring:
     so `recolored` maps each color once and is resolved once at the end.
     Join merges copy colors: a caterpillar costs the sum of its chi's.
     """
-    rng = random.Random(chooser.seed)
+    rng = (random.Random(chooser.seed)
+           if chooser.strategy == "seeded-random" else None)
     recolored: dict[int, int] = {}
     pending: list[tuple[int, ...]] = []
     for u in t.postorder():

@@ -1,14 +1,17 @@
 import itertools
+import random
+import time
 
 import pytest
 
 from cograph_hc import (Cotree, GenParams, Graph, NotACographError,
                         alg1_color, build_cotree, greedy_coloring, is_greedy,
                         is_hc_coloring, is_proper, newick_read,
-                        random_cograph, read_coloring, to_binary, verify_hc,
-                        write_coloring)
+                        random_cograph, read_coloring, realized_graph,
+                        to_binary, verify_hc, write_coloring)
 from cograph_hc import coloring, cotree
 from cograph_hc.cotree import align_to_graph
+from cograph_hc.graph import bits
 
 
 def caterpillar(g):
@@ -43,6 +46,73 @@ def test_greedy_uses_chi_colors_exhaustively(small_cographs):
         for order in itertools.permutations(range(g.n)):
             c = greedy_coloring(g, order)
             assert set(c.values()) == set(range(1, chi + 1))
+
+
+# -- first fit by class against the edge walk it replaced ----------------------
+
+def edge_walk_greedy(g, order):
+    """Reference: give each vertex in `order` the smallest color that no
+    already colored neighbor has, found by walking all its neighbors."""
+    c = {}
+    for v in order:
+        used = 0
+        for u in bits(g.adj[v]):
+            if u in c:
+                used |= 1 << c[u]
+        col = 1
+        while used >> col & 1:
+            col += 1
+        c[v] = col
+    return c
+
+
+def assert_same_greedy(g, order):
+    assert (list(greedy_coloring(g, order).items())
+            == list(edge_walk_greedy(g, order).items())), (g.adj, order)
+
+
+def test_greedy_matches_edge_walk_on_all_graphs_up_to_5():
+    calls = 0
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            for order in itertools.permutations(range(n)):
+                assert_same_greedy(g, order)
+                calls += 1
+    assert calls == 124469
+
+
+@pytest.mark.parametrize("n", [30, 200])
+@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+def test_greedy_matches_edge_walk_on_random_graphs(n, density):
+    rng = random.Random(n * 10 + int(density * 10))
+    for _ in range(5):
+        g = Graph(n, [p for p in itertools.combinations(range(n), 2)
+                      if rng.random() < density])
+        order = list(range(n))
+        rng.shuffle(order)
+        assert_same_greedy(g, order)
+        assert_same_greedy(g, range(n))
+
+
+def test_greedy_on_a_deep_caterpillar_is_fast():
+    # depth 4000, labels alternating: about n^2/4 = 4M edges; walking
+    # every edge took several seconds
+    n = 4000
+    t = Cotree()
+    acc = t.add_leaf(0)
+    for v in range(1, n):
+        acc = t.add_inner(v % 2, [acc, t.add_leaf(v)])
+    t.root = acc
+    g = realized_graph(t)
+    order = list(range(n))
+    random.Random(4).shuffle(order)
+    start = time.perf_counter()
+    c = greedy_coloring(g, order)
+    elapsed = time.perf_counter() - start
+    assert is_proper(g, c) and is_greedy(g, c)
+    assert elapsed < 2
 
 
 def test_is_greedy(k2_k1_k1, coloring_a, coloring_b):

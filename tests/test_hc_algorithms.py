@@ -49,6 +49,24 @@ def test_alg1_seeded_random_deterministic(k2_k1_k1):
     assert is_hc_coloring(k2_k1_k1, runs[0]).accepted
 
 
+def test_only_the_seeded_random_chooser_builds_a_random(k2_k1_k1,
+                                                       monkeypatch):
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    alg1_color(k2_k1_k1, InjectionChooser("identity-prefix"))
+    alg1_color(k2_k1_k1, InjectionChooser(
+        "exhaustive-callback", callback=lambda s, t: dict(zip(s, t))))
+    assert built == []
+    alg1_color(k2_k1_k1, InjectionChooser("seeded-random", seed=11))
+    assert built == [(11,)]
+
+
 def test_alg1_sound_on_small_corpus(small_cographs):
     for g in small_cographs:
         for chooser in (InjectionChooser("identity-prefix"),
