@@ -17,7 +17,6 @@ from . import graph as gr
 from . import cotree as ct
 from . import coloring as col
 from . import hc_algorithms as hca
-from . import oracle
 from .generator import GenParams, exhaustive_cographs, random_cograph
 
 
@@ -29,7 +28,7 @@ class _CliError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
 
@@ -201,6 +200,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import oracle  # only `check` loads it, so start-up stays short
+
     if args.max_n > 6:
         raise _CliError(f"size-guard: --max-n {args.max_n} exceeds 6")
     if args.max_n < 1:

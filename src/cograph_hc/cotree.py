@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import filterfalse, islice
 
 from .graph import Graph, VertexIds, bits
 
@@ -42,8 +42,12 @@ class NotACographError(ValueError):
 
 
 class NewickError(ValueError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} at byte {offset}")
+    """A Newick parse error. `offset` is the character index into the text;
+    the message gives the UTF-8 byte offset, as in the file it came from."""
+
+    def __init__(self, message: str, offset: int, text: str):
+        at = len(text[:offset].encode("utf-8", "surrogatepass"))
+        super().__init__(f"{message} at byte {at}")
         self.offset = offset
 
 
@@ -440,7 +444,8 @@ def realizes(t: Cotree, g: Graph) -> bool:
 
 # a leaf name or node label: no whitespace and none of the reserved "(),;"
 _NAME = re.compile(r"[^(),;\s]+")
-_SPACE = re.compile(r"\s*")
+# the tokens newick_read splits the text into, in the same order
+_TOKEN = re.compile(r"[(,;]|\)[^(),;\s]*|[^(),;\s]+")
 
 
 def _newick_spans(t: Cotree) -> tuple[str, list[int], list[int]]:
@@ -490,64 +495,73 @@ def newick_write(t: Cotree) -> str:
 def newick_read(s: str) -> Cotree:
     """Parse a cotree; leaf ids are assigned in order of appearance.
 
-    Iterative, so the nesting depth is not bounded by the recursion limit.
+    One split of the whole text into tokens, then one walk over them with an
+    explicit stack, so the nesting depth is not bounded by the recursion
+    limit. A ")" keeps its label glued to it, so ") 1" is a missing label.
     """
+    toks = (s.replace("(", " ( ").replace(",", " , ").replace(";", " ; ")
+            .replace(")", " )").split())
+    end = len(toks)
     t = Cotree()
-    pos = 0
-    n = len(s)
-    leaf_names: list[str] = []
-    seen: set[str] = set()
+    label, children, vertex = t.label, t.children, t.vertex
+    ids: dict[str, int] = {}  # leaf name -> vertex id, in order of appearance
     open_kids: list[list[int]] = []  # children so far of each open "("
-
-    def error(msg: str) -> NewickError:
-        return NewickError(msg, pos)
-
+    i = 0
     while True:
-        pos = _SPACE.match(s, pos).end()
-        if pos >= n:
-            raise error("parse-error: unexpected end of input")
-        if s[pos] == "(":
-            pos += 1
+        if i == end:
+            raise _newick_error(s, "parse-error: unexpected end of input", i)
+        tok = toks[i]
+        i += 1
+        if tok == "(":
             open_kids.append([])
             continue
-        m = _NAME.match(s, pos)
-        if m is None:
-            raise error("parse-error: expected leaf name")
-        pos = m.end()
-        name = m.group()
-        if name in seen:
-            raise error(f"parse-error: duplicate leaf name {name!r}")
-        seen.add(name)
-        leaf_names.append(name)
-        node = t.add_leaf(len(leaf_names) - 1)
+        if tok[0] in "),;":
+            raise _newick_error(s, "parse-error: expected leaf name", i - 1)
+        if tok in ids:
+            raise _newick_error(
+                s, f"parse-error: duplicate leaf name {tok!r}", i - 1, len(tok))
+        node = len(label)
+        label.append(LEAF)
+        children.append(())
+        vertex.append(len(ids))
+        ids[tok] = len(ids)
         # close every inner node that ends after this subtree
         while open_kids:
             open_kids[-1].append(node)
-            pos = _SPACE.match(s, pos).end()
-            if pos < n and s[pos] == ",":
-                pos += 1
+            if i == end or toks[i][0] not in ",)":
+                raise _newick_error(s, "parse-error: expected ',' or ')'", i)
+            tok = toks[i]
+            i += 1
+            if tok == ",":
                 break
-            if pos >= n or s[pos] != ")":
-                raise error("parse-error: expected ',' or ')'")
-            pos += 1
             kids = open_kids.pop()
             if len(kids) < 2:
-                raise error("parse-error: inner node needs at least 2 children")
-            m = _NAME.match(s, pos)
-            if m is None:
-                raise error("bad-label")
-            pos = m.end()
-            if m.group() not in ("0", "1"):
-                raise error("bad-label")
-            node = t.add_inner(int(m.group()), kids)
+                raise _newick_error(
+                    s, "parse-error: inner node needs at least 2 children",
+                    i - 1, 1)
+            if tok == ")1":
+                lab = 1
+            elif tok == ")0":
+                lab = 0
+            else:  # no label (k = 1, just after ")") or another one
+                raise _newick_error(s, "bad-label", i - 1, len(tok))
+            node = len(label)
+            label.append(lab)
+            children.append(tuple(kids))
+            vertex.append(-1)
         if not open_kids:
             break
-    pos = _SPACE.match(s, pos).end()
-    if pos >= n or s[pos] != ";":
-        raise error("parse-error: expected ';'")
-    pos = _SPACE.match(s, pos + 1).end()
-    if pos != n:
-        raise error("parse-error: trailing input")
+    if i == end or toks[i] != ";":
+        raise _newick_error(s, "parse-error: expected ';'", i)
+    if i + 1 != end:
+        raise _newick_error(s, "parse-error: trailing input", i + 1)
     t.root = node
-    t.names = tuple(leaf_names)
+    t.names = tuple(ids)
     return t
+
+
+def _newick_error(s: str, msg: str, i: int, k: int = 0) -> NewickError:
+    """The error at k characters into the i-th token of s, or at the end of s
+    when it has no i-th token. Only this error path finds token offsets."""
+    m = next(islice(_TOKEN.finditer(s), i, None), None)
+    return NewickError(msg, len(s) if m is None else m.start() + k, s)

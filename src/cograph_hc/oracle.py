@@ -107,8 +107,8 @@ def _components(adj: tuple[int, ...], mask: int) -> list[int]:
     return out
 
 
-_LOWEST_ZERO = tuple(next(i for i in range(12) if not m >> i & 1)
-                     for m in range(1 << 11))
+# the lowest clear bit of each 11-bit mask: ~m & (m + 1) isolates it
+_LOWEST_ZERO = tuple(((~m) & (m + 1)).bit_length() - 1 for m in range(1 << 11))
 
 
 def brute_grundy(g: Graph) -> int:

@@ -21,7 +21,7 @@ SPLIT_TREE = "((a,b)1,(c,d)0)0;\n"
 def files(tmp_path):
     def write(name, text):
         p = tmp_path / name
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         return str(p)
     return write
 
@@ -184,6 +184,18 @@ def test_verify_with_cotree(files, capsys):
     assert "K3 violation" in out and "{c,d}" in out
 
 
+def test_files_may_start_with_a_byte_order_mark(files, capsys):
+    g = files("g.txt", "\ufeff" + GRAPH)
+    cat = files("cat.nwk", "\ufeff" + CATERPILLAR)
+    assert main(["recognize", g]) == 0
+    assert capsys.readouterr().out == "COGRAPH ((a,b)1,c,d)0;\n"
+    assert main(["verify", g, files("swap.txt", "\ufeff" + COLORING_SWAP),
+                 "--cotree", cat]) == 0
+    assert capsys.readouterr().out == "ACCEPT\n"
+    assert main(["cotree", cat, "--realize"]) == 0
+    assert "names a b c d" in capsys.readouterr().out
+
+
 def test_verify_refines_nonbinary_cotree(files, capsys):
     g = files("g.txt", GRAPH)
     disc = files("disc.nwk", "((a,b)1,c,d)0;\n")
@@ -258,12 +270,13 @@ def test_check_selected_theorems(capsys):
 
 def test_cli_import_loads_no_process_pool():
     # `check` is serial, so starting the CLI imports neither
-    # multiprocessing nor concurrent.futures
+    # multiprocessing nor concurrent.futures; only `check` loads the oracle
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import cograph_hc.cli, sys; print(sorted(m for m in "
-            "('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+            "('multiprocessing', 'concurrent.futures', 'cograph_hc.oracle') "
+            "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"

@@ -55,6 +55,11 @@ def test_brute_grundy():
         oracle.brute_grundy(Graph(9))
 
 
+def test_lowest_zero_table_is_the_lowest_clear_bit():
+    assert oracle._LOWEST_ZERO == tuple(
+        next(i for i in range(12) if not m >> i & 1) for m in range(1 << 11))
+
+
 def test_grundy_equals_chi_on_small_cographs(small_cographs):
     for g in small_cographs:
         if g.n > 4:
