@@ -27,10 +27,22 @@ class _CliError(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The file as text: UTF-8 after an optional byte-order mark, with
+    newlines translated as text-mode reading does."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc counts from after the byte-order mark, if there is one
+        at = exc.start + len(data) - len(exc.object)
+        raise _CliError(f"cannot read {path}: not UTF-8 (byte "
+                        f"0x{data[at]:02x} at offset {at})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load_graph(path: str) -> gr.Graph:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, VertexIds, bits, _check_tokens
+from .graph import Graph, VertexIds, bits, _COMMENT, _check_tokens
 from .cotree import Cotree, _cotree_of, is_binary, realizes
 
 Coloring = dict[int, int]
@@ -259,11 +259,11 @@ def write_coloring(g: Graph, c: Coloring) -> str:
 def read_coloring(text: str, g: Graph) -> Coloring:
     ids = VertexIds(g.vertex_names())
     c: Coloring = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(_COMMENT.sub(" ", text).splitlines(),
+                                  start=1):
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'vertex<TAB>color'")
         vtok, ctok = parts

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from itertools import filterfalse
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 
@@ -142,53 +143,123 @@ def _check_tokens(names: Sequence[str] | None, where: str) -> None:
 def write_edge_list(g: Graph) -> str:
     """Edge-list text that `read_edge_list` reads back as g. The reader
     resolves a name before a decimal id, so the edges are written by name
-    when some id would read back as another vertex, and as ids otherwise."""
-    names, lines, by_name = g.names, [f"n {g.n}"], False
+    when some id would read back as another vertex, and as ids otherwise.
+    Each vertex's edges to higher vertices are one join."""
+    names, lines = g.names, [f"n {g.n}"]
+    labels = list(map(str, range(g.n)))
     if names is not None:
         _check_tokens(names, "an edge list")
         lines.append("names " + " ".join(names))
         ids = VertexIds(names)
-        by_name = any(ids[str(v)] != v for v in range(g.n))
-    if by_name:
-        lines.extend(f"{names[u]} {names[v]}" for u, v in g.edges())
-    else:
-        lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+        if any(ids[v] != i for i, v in enumerate(labels)):
+            labels = names
+    for u, row in enumerate(g.adj):
+        above = row >> (u + 1) << (u + 1)
+        if above:
+            head = labels[u] + " "
+            lines.append(head + ("\n" + head).join(
+                map(labels.__getitem__, bits(above))))
+    lines.append("")
+    return "\n".join(lines)
 
 
-def read_edge_list(text: str) -> Graph:
-    n = None
-    names: tuple[str, ...] | None = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+# A comment runs from "#" to the end of its line; the character class holds
+# exactly the line boundaries of str.splitlines. A comment becomes a space,
+# so that "\r#x\n" keeps both of its line boundaries.
+_COMMENT = re.compile("#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+
+# characters per piece of read_edge_list, which bounds its working memory
+_PIECE = 1 << 16
+
+
+def _pieces(text: str) -> Iterator[list[str]]:
+    """The lines of text without comments, a list per piece of about
+    _PIECE characters; every piece but the last ends just after a "\n",
+    so no line and no "\r\n" is cut."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE) + 1 or len(text)
+        yield _COMMENT.sub(" ", text[start:end]).splitlines()
+        start = end
+
+
+def _first_bad_edge(lines: list[str], lineno: int, ids: VertexIds) -> None:
+    """Raise the error of the first bad edge line; line lineno is
+    lines[0]."""
+    for lineno, line in enumerate(lines, lineno):
         parts = line.split()
-        if n is None:
-            if (parts[0] != "n" or len(parts) != 2 or not parts[1].isascii()
-                    or not parts[1].isdigit()):
-                raise GraphFormatError(f"line {lineno}: expected 'n <count>'")
-            n = int(parts[1])
-            ids = VertexIds([f"v{i}" for i in range(n)])
-            continue
-        if parts[0] == "names" and not edges and names is None:
-            if len(parts) != n + 1:
-                raise GraphFormatError(f"line {lineno}: expected {n} names")
-            names = tuple(parts[1:])
-            if len(set(names)) != n:
-                raise GraphFormatError(f"line {lineno}: duplicate names")
-            ids = VertexIds(names)
+        if not parts:
             continue
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v'")
         try:
-            u, v = ids[parts[0]], ids[parts[1]]
-            if u == v:
+            if ids[parts[0]] == ids[parts[1]]:
                 raise KeyError
         except KeyError:
-            raise GraphFormatError(f"line {lineno}: bad edge {line!r}") from None
-        edges.append((u, v))
+            raise GraphFormatError(
+                f"line {lineno}: bad edge {line.strip()!r}") from None
+
+
+def _add_edges(lines: list[str], lineno: int, ids: VertexIds,
+               adj: list[int]) -> None:
+    """Add the edges of lines, line lineno first, to adj. Once comments
+    are gone no token is "#", so the L non-blank lines, joined with " # ",
+    split into u, v, "#", u, v, ... when each holds two tokens. With 3L - 1
+    tokens but a line of one or three, some "#" falls on a u or v place,
+    and its lookup fails. Only a bad piece is walked line by line, for the
+    message of its first bad line."""
+    body = list(filter(str.strip, lines))
+    if not body:
+        return
+    toks = " # ".join(body).split()
+    try:
+        if len(toks) != 3 * len(body) - 1:
+            raise KeyError
+        us = list(map(ids.__getitem__, toks[0::3]))
+        vs = list(map(ids.__getitem__, toks[1::3]))
+        if any(map(eq, us, vs)):
+            raise KeyError
+    except KeyError:
+        _first_bad_edge(lines, lineno, ids)
+    for u, v in zip(us, vs):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+
+def read_edge_list(text: str) -> Graph:
+    """The graph of an edge list. The header lines (`n <count>`, then an
+    optional `names` line before the first edge) are read one by one; the
+    edge lines a piece at a time, by `_add_edges`."""
+    n = names = ids = adj = None
+    lineno = 1  # the number of the line lines[0]
+    for lines in _pieces(text):
+        i = 0
+        while ids is None and i < len(lines):
+            parts = lines[i].split()
+            if not parts:
+                pass
+            elif n is None:
+                if (parts[0] != "n" or len(parts) != 2
+                        or not parts[1].isascii() or not parts[1].isdigit()):
+                    raise GraphFormatError(
+                        f"line {lineno + i}: expected 'n <count>'")
+                n = int(parts[1])
+                adj = [0] * n
+            elif parts[0] == "names":
+                if len(parts) != n + 1:
+                    raise GraphFormatError(
+                        f"line {lineno + i}: expected {n} names")
+                names = tuple(parts[1:])
+                if len(set(names)) != n:
+                    raise GraphFormatError(f"line {lineno + i}: duplicate names")
+                ids = VertexIds(names)
+            else:  # the first edge line
+                ids = VertexIds([f"v{v}" for v in range(n)])
+                break
+            i += 1
+        if ids is not None:
+            _add_edges(lines[i:], lineno + i, ids, adj)
+        lineno += len(lines)
     if n is None:
         raise GraphFormatError("missing 'n <count>' header")
-    return Graph(n, edges, names)
+    return Graph._from_adj(n, adj, names)

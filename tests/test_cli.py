@@ -196,6 +196,43 @@ def test_files_may_start_with_a_byte_order_mark(files, capsys):
     assert "names a b c d" in capsys.readouterr().out
 
 
+def test_files_that_are_not_utf8_fail_with_one_line(files, capsys, tmp_path):
+    def raw(name, data):
+        (tmp_path / name).write_bytes(data)
+        return str(tmp_path / name)
+    g = files("g.txt", GRAPH)
+    bad = raw("bad.txt", b"n 2\n\xff\xfe 1\n")
+    assert main(["recognize", bad]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {bad}: not UTF-8 (byte 0xff at offset 4)\n")
+    # the offset counts a byte-order mark, and a cut multi-byte character
+    # is named by its first byte
+    bad = raw("bom.txt", "\ufeffn 2\n".encode() + b"0 \xc3")
+    assert main(["count", bad]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {bad}: not UTF-8 (byte 0xc3 at offset 9)\n")
+    bad = raw("c.txt", b"a\t1\nb\t2\n\x80")
+    assert main(["verify", g, bad]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {bad}: not UTF-8 (byte 0x80 at offset 8)\n")
+    bad = raw("t.nwk", "((é,b)1,c,d)0;".encode("latin-1"))
+    assert main(["verify", g, files("a.txt", COLORING_A), "--cotree",
+                 bad]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {bad}: not UTF-8 (byte 0xe9 at offset 2)\n")
+
+
+def test_files_are_read_with_newlines_translated(files, capsys):
+    # "\r\n" and "\r" read as "\n", so Newick byte offsets are those of
+    # the translated text, as text-mode reading gives them
+    t = files("t.nwk", "((a,\r\nb)1,c,d)0;\r(")
+    assert main(["cotree", t, "--realize"]) == 2
+    want = capsys.readouterr().err
+    assert main(["cotree", files("u.nwk", "((a,\nb)1,c,d)0;\n("),
+                 "--realize"]) == 2
+    assert capsys.readouterr().err.replace("u.nwk", "t.nwk") == want
+
+
 def test_verify_refines_nonbinary_cotree(files, capsys):
     g = files("g.txt", GRAPH)
     disc = files("disc.nwk", "((a,b)1,c,d)0;\n")

@@ -253,3 +253,16 @@ def test_coloring_file_roundtrip(k2_k1_k1, coloring_a):
 def test_coloring_file_rejects_malformed(k2_k1_k1, text):
     with pytest.raises(ValueError):
         read_coloring(text, k2_k1_k1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a\t1\r#x\nb\t0\n", "line 3: bad color '0'"),
+    ("a\t1 # c\r\n\r#x\r\nb 2#\nb\t2\n", "line 5: vertex 'b' colored twice"),
+    ("#\x85a\t1\u2028b\t1\x1c\x1dq\t1\n", "line 5: unknown vertex 'q'"),
+    ("a\t1\x1fb\n", "line 1: expected 'vertex<TAB>color'"),
+])
+def test_coloring_file_errors_name_the_line(k2_k1_k1, text, message):
+    # a comment runs to the end of its line and leaves the line in place
+    with pytest.raises(ValueError) as exc:
+        read_coloring(text, k2_k1_k1)
+    assert str(exc.value) == message
