@@ -60,14 +60,26 @@ def _load_cotree(path: str, g: gr.Graph) -> ct.Cotree:
         raise _CliError(f"{path}: {exc}") from exc
 
 
-def _write_output(text: str, path: str | None) -> None:
+# characters per write: a text is encoded a slice at a time, never whole
+_SLICE = 1 << 20
+
+
+def _write_output(path: str | None, *texts: str) -> None:
+    """Write the texts one after another to the file at path, else to
+    standard output."""
+    def put(out) -> None:
+        for text in texts:
+            for i in range(0, len(text), _SLICE):
+                out.write(text[i:i + _SLICE])
+
     if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _CliError(f"cannot write {path}: {exc}") from exc
+        put(sys.stdout)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            put(out)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _witness_names(g: gr.Graph, w: ct.P4Witness) -> str:
@@ -94,7 +106,7 @@ def _cmd_cotree(args: argparse.Namespace) -> int:
             g = ct.realized_graph(t)
         except ValueError as exc:
             raise _CliError(f"{args.graph}: {exc}") from exc
-        _write_output(gr.write_edge_list(g), args.output)
+        _write_output(args.output, gr.write_edge_list(g))
         return 0
     g = _load_graph(args.graph)
     t = ct.build_cotree(g)
@@ -103,7 +115,7 @@ def _cmd_cotree(args: argparse.Namespace) -> int:
         return 1
     if args.binary:
         t = ct.to_binary(t, args.binary)
-    _write_output(ct.newick_write(t) + "\n", args.output)
+    _write_output(args.output, ct.newick_write(t) + "\n")
     return 0
 
 
@@ -129,7 +141,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
         except ct.NotACographError as exc:
             print(f"NOT-COGRAPH {_witness_names(g, exc.witness)}")
             return 1
-    _write_output(col.write_coloring(g, c), args.output)
+    _write_output(args.output, col.write_coloring(g, c))
     print(f"colors {len(set(c.values()))}")
     return 0
 
@@ -161,32 +173,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{verdict.axiom} violation at node over "
               f"{{{','.join(leaves)}}}: color sets {s1} vs {s2}")
         return 1
-    proper = col.is_proper(g, c)
-    hc = col.Verdict(False)
-    greedy = False
-    if proper:
-        try:
-            hc = col.is_hc_coloring(g, c)
-        except ct.NotACographError as exc:
-            raise _CliError(f"not-a-cograph: {_witness_names(g, exc.witness)}",
-                            code=1) from exc
-        greedy = col.is_greedy(g, c)
-    yn = {True: "yes", False: "no"}
-    print(f"proper={yn[proper]} hc={yn[hc.accepted]} greedy={yn[greedy]}")
-    if not proper:
-        u, v = col._improper_edge(g, c)
+    edge = col._improper_edge(g, c)
+    if edge is not None:
+        u, v = edge
+        print("proper=no hc=no greedy=no")
         print(f"proper=no: edge {names[u]}-{names[v]} has color {c[u]} "
               "at both ends")
         print("hc=no: the coloring is not proper")
         print("greedy=no: the coloring is not proper")
         return 1
+    try:
+        hc = col.is_hc_coloring(g, c)
+    except ct.NotACographError as exc:
+        print(f"NOT-COGRAPH {_witness_names(g, exc.witness)}")
+        return 1
+    missing = col._greedy_witness(g, c)
+    yn = {True: "yes", False: "no"}
+    print(f"proper=yes hc={yn[hc.accepted]} greedy={yn[missing is None]}")
     if not hc:
         s1, s2 = (sorted(s) for s in hc.sets)
         node = "join" if hc.axiom == "K2" else "union"
         print(f"hc=no: {hc.axiom} violation at a {node}: color sets {s1} "
               f"vs {s2}")
-    if not greedy:
-        v, i = col._greedy_witness(g, c)
+    if missing is not None:
+        v, i = missing
         print(f"greedy=no: vertex {names[v]} has color {c[v]} and no "
               f"neighbor of color {i}")
     return 0 if hc else 1
@@ -251,9 +261,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     g, t = random_cograph(params)
     header = (f"# gen seed {params.seed} n {params.n} "
               f"max_arity {params.max_arity} balance {params.balance}\n")
-    _write_output(header + gr.write_edge_list(g), args.graph_out)
+    _write_output(args.graph_out, header, gr.write_edge_list(g))
     if args.cotree_out:
-        _write_output(ct.newick_write(t) + "\n", args.cotree_out)
+        _write_output(args.cotree_out, ct.newick_write(t) + "\n")
     return 0
 
 

@@ -3,8 +3,8 @@
 The coloring algorithms start from all-distinct colors and, walking the
 cotree bottom-up, recolor every non-maximum group at each union node into
 the color set of a group with maximum chromatic number via an injective
-map. How that injection is picked is abstracted by `InjectionChooser` so
-tiny instances can exhaust every choice.
+map, given as a function of (source, target): `InjectionChooser` names the
+two the tool uses, and the oracle exhausts every choice on tiny instances.
 
 Counts are arbitrary-precision. Per-node counts follow the
 up-to-color-renaming convention (colorings identified when they induce the
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from .graph import Graph
 from .cotree import Cotree, _cotree_of, _newick_spans, is_binary, realizes
@@ -30,9 +30,8 @@ class NotHcColoringError(ValueError):
         self.certificate = certificate
 
 
-InjectionCallback = Callable[[tuple[int, ...], tuple[int, ...]], dict[int, int]]
-
-_STRATEGIES = ("identity-prefix", "seeded-random", "exhaustive-callback")
+# the images, in order, of a union child's sorted colors in the kept child's
+Images = Callable[[tuple[int, ...], tuple[int, ...]], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -40,33 +39,23 @@ class InjectionChooser:
     """Picks the injective recoloring maps used at union nodes.
 
     identity-prefix maps the i-th smallest source color to the i-th
-    smallest target color; seeded-random is reproducible for a fixed seed;
-    exhaustive-callback delegates to `callback(source, target)` so tests
-    can enumerate every possible choice.
+    smallest target color; seeded-random draws each map from one
+    `random.Random(seed)` per run, so a fixed seed repeats its output.
     """
 
     strategy: str = "identity-prefix"
     seed: int = 0
-    callback: InjectionCallback | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.strategy not in _STRATEGIES:
+        if self.strategy not in ("identity-prefix", "seeded-random"):
             raise ValueError(f"unknown chooser strategy {self.strategy!r}")
-        if self.strategy == "exhaustive-callback" and self.callback is None:
-            raise ValueError("exhaustive-callback needs a callback")
 
-    def _choose(self, rng: random.Random | None, source: tuple[int, ...],
-                target: tuple[int, ...]) -> dict[int, int]:
+    def _images(self) -> Images:
+        """The images function of one run."""
         if self.strategy == "identity-prefix":
-            return dict(zip(source, target[: len(source)]))
-        if self.strategy == "seeded-random":
-            return dict(zip(source, rng.sample(target, len(source))))
-        phi = self.callback(source, target)  # type: ignore[misc]
-        if sorted(phi) != list(source):
-            raise ValueError("callback domain mismatch")
-        if len(set(phi.values())) != len(source) or not set(phi.values()) <= set(target):
-            raise ValueError("callback must return an injection into the target")
-        return phi
+            return lambda source, target: target[:len(source)]
+        sample = random.Random(self.seed).sample
+        return lambda source, target: sample(target, len(source))
 
 
 def _canonical_rename(sigma: list[int]) -> Coloring:
@@ -80,7 +69,7 @@ def _canonical_rename(sigma: list[int]) -> Coloring:
     return out
 
 
-def _recolor_bottom_up(t: Cotree, chooser: InjectionChooser) -> Coloring:
+def _recolor_bottom_up(t: Cotree, images: Images) -> Coloring:
     """Shared core: groups at a 0-node are the child subtrees of t.
 
     Vertex v starts with color v + 1. Each pending subtree keeps the sorted
@@ -89,9 +78,9 @@ def _recolor_bottom_up(t: Cotree, chooser: InjectionChooser) -> Coloring:
     child's, into which the others are injected. A mapped color leaves use,
     so `recolored` maps each color once and is resolved once at the end.
     Join merges copy colors: a caterpillar costs the sum of its chi's.
+    The (source, target) pairs handed to `images` never depend on its
+    answers, since only `recolored` records them.
     """
-    rng = (random.Random(chooser.seed)
-           if chooser.strategy == "seeded-random" else None)
     recolored: dict[int, int] = {}
     pending: list[tuple[int, ...]] = []
     for u in t.postorder():
@@ -108,7 +97,7 @@ def _recolor_bottom_up(t: Cotree, chooser: InjectionChooser) -> Coloring:
         best = max(range(k), key=lambda i: len(sets[i]))
         for i, source in enumerate(sets):
             if i != best:
-                recolored.update(chooser._choose(rng, source, sets[best]))
+                recolored.update(zip(source, images(source, sets[best])))
         pending.append(sets[best])
     for x in reversed(recolored):  # later maps are resolved first
         y = recolored[x]
@@ -122,7 +111,7 @@ def alg1_color(g: Graph,
                ) -> tuple[Coloring, Cotree]:
     """Recursively minimal coloring along the discriminating cotree."""
     t = _cotree_of(g)
-    return _recolor_bottom_up(t, chooser), t
+    return _recolor_bottom_up(t, chooser._images()), t
 
 
 def alg2_color(g: Graph, t: Cotree,
@@ -130,7 +119,7 @@ def alg2_color(g: Graph, t: Cotree,
     """Recursively minimal coloring w.r.t. a user-supplied cotree of g."""
     if not realizes(t, g):
         raise ValueError("cotree-graph-mismatch")
-    return _recolor_bottom_up(t, chooser)
+    return _recolor_bottom_up(t, chooser._images())
 
 
 # -- binary cotree reconstruction from an hc-colored cograph -------------------

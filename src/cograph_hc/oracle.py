@@ -275,27 +275,20 @@ def all_binary_cotrees(g: Graph) -> list[Cotree]:
 
 def enumerate_alg1_outputs(t: Cotree):
     """Yield every output the recursive coloring algorithm can produce on
-    cotree t, exhausting the injection choices (tiny instances only)."""
-    events: list[tuple[int, int]] = []
+    cotree t, exhausting the injection choices (tiny instances only): one
+    recording run lists each union's injections in lexicographic order, and
+    since no run's (source, target) pairs depend on its choices, each
+    combination of them replays as one run."""
+    options: list[list[tuple[int, ...]]] = []
 
-    def recorder(src: tuple[int, ...], tgt: tuple[int, ...]) -> dict[int, int]:
-        events.append((len(src), len(tgt)))
-        return dict(zip(src, tgt[: len(src)]))
+    def record(source, target):
+        options.append(list(itertools.permutations(target, len(source))))
+        return target[:len(source)]
 
-    _recolor_bottom_up(t, InjectionChooser("exhaustive-callback",
-                                           callback=recorder))
-    option_counts = [math.perm(b, a) for a, b in events]
-    for combo in itertools.product(*(range(k) for k in option_counts)):
+    _recolor_bottom_up(t, record)
+    for combo in itertools.product(*options):
         picks = iter(combo)
-
-        def chooser_cb(src: tuple[int, ...],
-                       tgt: tuple[int, ...]) -> dict[int, int]:
-            idx = next(picks)
-            images = list(itertools.permutations(tgt, len(src)))[idx]
-            return dict(zip(src, images))
-
-        yield _recolor_bottom_up(
-            t, InjectionChooser("exhaustive-callback", callback=chooser_cb))
+        yield _recolor_bottom_up(t, lambda source, target: next(picks))
 
 
 # -- theorem reports ------------------------------------------------------------
@@ -442,9 +435,11 @@ def check_theorems(corpus: list[Graph], theorems: list[str] | None = None,
     """
     if theorems is None:
         theorems = list(THEOREM_IDS)
-    for tid in theorems:
+    for i, tid in enumerate(theorems):
         if tid not in THEOREM_IDS:
             raise ValueError(f"unknown theorem id {tid!r}")
+        if tid in theorems[:i]:
+            raise ValueError(f"duplicate theorem id {tid!r}")
     reports = {tid: TheoremReport(tid) for tid in theorems}
     for idx, g in enumerate(corpus):
         rng = random.Random((seed << 32) + idx)  # per-instance stream
@@ -572,7 +567,7 @@ def _check_t4(rep: TheoremReport, idx: int, ctx: _GraphCtx,
     choosers = [InjectionChooser("identity-prefix"),
                 InjectionChooser("seeded-random", seed=rng.getrandbits(32))]
     for chooser in choosers:
-        c = _recolor_bottom_up(t, chooser)
+        c = _recolor_bottom_up(t, chooser._images())
         if not _hc_refinement(t, c)[0].accepted:
             rep.counterexamples.append((idx, chooser.strategy, c))
         elif not ctx.recursively_minimal(c):

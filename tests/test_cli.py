@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cograph_hc import GenParams, random_cograph, write_edge_list
 from cograph_hc.cli import main
 
 GRAPH = "n 4\nnames a b c d\na b\n"
@@ -172,6 +173,17 @@ def test_verify_two_colored_empty_pair(files, capsys):
     assert "hc=no" in capsys.readouterr().out
 
 
+def test_verify_on_a_graph_that_is_not_a_cograph(files, capsys):
+    # a proper coloring of the path a-b-c-d: verify names the P4 as
+    # recognize does, on stdout with exit 1
+    p4 = files("p4.txt", P4_TEXT)
+    assert main(["recognize", p4]) == 1
+    witness = capsys.readouterr().out
+    assert witness.startswith("NOT-COGRAPH ")
+    assert main(["verify", p4, files("c.txt", COLORING_B)]) == 1
+    assert capsys.readouterr() == (witness, "")
+
+
 def test_verify_with_cotree(files, capsys):
     g = files("g.txt", GRAPH)
     cat = files("cat.nwk", CATERPILLAR)
@@ -305,6 +317,12 @@ def test_check_selected_theorems(capsys):
     assert out.count("THEOREM") == 2
 
 
+def test_check_refuses_a_repeated_theorem(capsys):
+    assert main(["check", "--max-n", "3", "--theorems", "T1,T1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: duplicate theorem id 'T1'\n")
+
+
 def test_cli_import_loads_no_process_pool():
     # `check` is serial, so starting the CLI imports neither
     # multiprocessing nor concurrent.futures; only `check` loads the oracle
@@ -340,6 +358,19 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert main(["gen", "--n", "8", "--seed", "5",
                  "--graph-out", str(gout2)]) == 0
     assert gout2.read_text() == text
+
+
+def test_gen_writes_the_header_then_the_edge_list(tmp_path, capsys):
+    gout = tmp_path / "g.txt"
+    assert main(["gen", "--n", "30", "--seed", "4", "--max-arity", "4",
+                 "--graph-out", str(gout)]) == 0
+    g, _ = random_cograph(GenParams(n=30, seed=4, max_arity=4))
+    expected = ("# gen seed 4 n 30 max_arity 4 balance 0.5\n"
+                + write_edge_list(g))
+    assert gout.read_bytes() == expected.encode("utf-8")
+    assert main(["gen", "--n", "30", "--seed", "4", "--max-arity",
+                 "4"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_check_verbose_prints_notes_counterexamples_and_time(capsys):

@@ -13,16 +13,15 @@ from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
                         realized_graph, realizes, reconstruct_cotree,
                         to_binary, verify_hc)
 from cograph_hc.cotree import align_to_graph, node_chromatic_numbers
-from cograph_hc.hc_algorithms import _canonical_rename
+from cograph_hc.hc_algorithms import _canonical_rename, _recolor_bottom_up
 from cograph_hc.oracle import (all_binary_cotrees, brute_chromatic,
                                enumerate_alg1_outputs, proper_partitions)
 
 
 def test_chooser_validation():
-    with pytest.raises(ValueError, match="unknown chooser strategy"):
-        InjectionChooser("bogus")
-    with pytest.raises(ValueError, match="needs a callback"):
-        InjectionChooser("exhaustive-callback")
+    for strategy in ("bogus", "exhaustive-callback"):
+        with pytest.raises(ValueError, match="unknown chooser strategy"):
+            InjectionChooser(strategy)
 
 
 def test_alg1_singleton():
@@ -60,8 +59,7 @@ def test_only_the_seeded_random_chooser_builds_a_random(k2_k1_k1,
 
     monkeypatch.setattr(random, "Random", CountingRandom)
     alg1_color(k2_k1_k1, InjectionChooser("identity-prefix"))
-    alg1_color(k2_k1_k1, InjectionChooser(
-        "exhaustive-callback", callback=lambda s, t: dict(zip(s, t))))
+    list(enumerate_alg1_outputs(build_cotree(k2_k1_k1)))
     assert built == []
     alg1_color(k2_k1_k1, InjectionChooser("seeded-random", seed=11))
     assert built == [(11,)]
@@ -97,12 +95,12 @@ def test_alg2_join_rooted_skips_recoloring():
 
 # -- the recoloring pass against the leaf-list recoloring it replaced ----------
 
-def leaf_list_recolor(g, t, chooser):
+def leaf_list_recolor(g, t, run):
     """Reference: at each union in postorder, read the colors below every
     child from per-node vertex lists, pick the first child of maximum
     chromatic number, and rewrite every vertex of each other child through
     its injection."""
-    rng = random.Random(chooser.seed)
+    images = run._images() if isinstance(run, InjectionChooser) else run
     sigma = [v + 1 for v in range(g.n)]
     chi = node_chromatic_numbers(t)
     leaves = [[] for _ in range(t.n_nodes())]
@@ -117,43 +115,56 @@ def leaf_list_recolor(g, t, chooser):
         for i, k in enumerate(kids):
             if i != best:
                 source = tuple(sorted({sigma[x] for x in leaves[k]}))
-                phi = chooser._choose(rng, source, target)
+                phi = dict(zip(source, images(source, target)))
                 for x in leaves[k]:
                     sigma[x] = phi[sigma[x]]
     return _canonical_rename(sigma)
 
 
-def choosers(seed):
-    """One chooser per strategy; the callback draws from its own rng."""
+def fast_recolor(g, t, run):
+    """alg2_color for a chooser, the recoloring pass for a plain images
+    function."""
+    if isinstance(run, InjectionChooser):
+        return alg2_color(g, t, run)
+    return _recolor_bottom_up(t, run)
+
+
+def runs(seed):
+    """One run per chooser strategy, and a plain images function that
+    draws from its own rng."""
     rng = random.Random(seed)
     return [InjectionChooser("identity-prefix"),
             InjectionChooser("seeded-random", seed=seed),
-            InjectionChooser("exhaustive-callback", callback=lambda s, t: dict(
-                zip(s, rng.sample(t, len(s)))))]
+            lambda source, target: rng.sample(target, len(source))]
 
 
 def traced(recolor, g, t, seed):
-    """Per strategy, the coloring and the chooser's (source, target)
-    calls."""
+    """Per run, the coloring and the (source, target) calls of its images
+    function."""
     out = []
-    for chooser in choosers(seed):
+    for run in runs(seed):
         calls = []
-        choose = InjectionChooser._choose
 
-        def spy(self, rng, source, target):
-            calls.append((source, target))
-            return choose(self, rng, source, target)
+        def spy(images):
+            def spied(source, target):
+                calls.append((source, target))
+                return images(source, target)
+            return spied
 
+        make = InjectionChooser._images
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(InjectionChooser, "_choose", spy)
-            out.append((recolor(g, t, chooser), calls))
+            mp.setattr(InjectionChooser, "_images",
+                       lambda self: spy(make(self)))
+            if not isinstance(run, InjectionChooser):
+                run = spy(run)
+            out.append((recolor(g, t, run), calls))
     return out
 
 
 def assert_recolors_as_leaf_lists(g, seed):
     t = build_cotree(g)
     for tree in (t, to_binary(t, "left-comb"), to_binary(t, "chi-ascending")):
-        assert traced(alg2_color, g, tree, seed) == \
+        assert traced(fast_recolor, g, tree, seed) == \
             traced(leaf_list_recolor, g, tree, seed)
 
 
@@ -424,3 +435,32 @@ def test_exhaustive_outputs_cover_hc_set(k2_k1_k1):
           if is_hc_coloring(k2_k1_k1, c).accepted}
     assert produced == hc
     assert len(produced) == 4
+
+
+def replayed_alg1_outputs(t):
+    """Reference: a recording run counts each union's injections; every
+    combination of indices is replayed, each call building its target's
+    permutations again and taking the chosen one."""
+    events = []
+
+    def recorder(src, tgt):
+        events.append((len(src), len(tgt)))
+        return tgt[:len(src)]
+
+    _recolor_bottom_up(t, recorder)
+    option_counts = [math.perm(b, a) for a, b in events]
+    for combo in itertools.product(*(range(k) for k in option_counts)):
+        picks = iter(combo)
+
+        def replay(src, tgt):
+            return list(itertools.permutations(tgt, len(src)))[next(picks)]
+
+        yield _recolor_bottom_up(t, replay)
+
+
+def test_exhaustive_outputs_match_replay_by_index(small_cographs):
+    assert len(small_cographs) == 535
+    for g in small_cographs:
+        t = build_cotree(g)
+        assert list(enumerate_alg1_outputs(t)) == \
+            list(replayed_alg1_outputs(t))

@@ -244,6 +244,11 @@ def test_check_theorems_rejects_unknown_id():
         oracle.check_theorems([Graph(1)], ["T99"])
 
 
+def test_check_theorems_rejects_a_repeated_id():
+    with pytest.raises(ValueError, match="duplicate theorem id 'T1'"):
+        oracle.check_theorems([Graph(1)], ["T1", "L2", "T1"])
+
+
 def test_check_theorems_small_corpus():
     corpus = []
     from cograph_hc import exhaustive_cographs
