@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 from . import graph as gr
 from . import cotree as ct
@@ -64,7 +66,7 @@ def _load_cotree(path: str, g: gr.Graph) -> ct.Cotree:
 _SLICE = 1 << 20
 
 
-def _write_output(path: str | None, *texts: str) -> None:
+def _write_output(path: str | None, texts: Iterable[str]) -> None:
     """Write the texts one after another to the file at path, else to
     standard output."""
     def put(out) -> None:
@@ -106,7 +108,7 @@ def _cmd_cotree(args: argparse.Namespace) -> int:
             g = ct.realized_graph(t)
         except ValueError as exc:
             raise _CliError(f"{args.graph}: {exc}") from exc
-        _write_output(args.output, gr.write_edge_list(g))
+        _write_output(args.output, gr._edge_list_pieces(g))
         return 0
     g = _load_graph(args.graph)
     t = ct.build_cotree(g)
@@ -115,7 +117,7 @@ def _cmd_cotree(args: argparse.Namespace) -> int:
         return 1
     if args.binary:
         t = ct.to_binary(t, args.binary)
-    _write_output(args.output, ct.newick_write(t) + "\n")
+    _write_output(args.output, [ct.newick_write(t) + "\n"])
     return 0
 
 
@@ -141,7 +143,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
         except ct.NotACographError as exc:
             print(f"NOT-COGRAPH {_witness_names(g, exc.witness)}")
             return 1
-    _write_output(args.output, col.write_coloring(g, c))
+    _write_output(args.output, [col.write_coloring(g, c)])
     print(f"colors {len(set(c.values()))}")
     return 0
 
@@ -228,12 +230,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise _CliError(f"size-guard: --max-n {args.max_n} exceeds 6")
     if args.max_n < 1:
         raise _CliError("--max-n must be >= 1")
-    theorems = None
-    if args.theorems:
-        theorems = [t.strip() for t in args.theorems.split(",")]
-        for tid in theorems:
-            if tid not in oracle.THEOREM_IDS:
-                raise _CliError(f"unknown theorem {tid!r}")
+    theorems = oracle.check_theorem_ids(
+        [t.strip() for t in args.theorems.split(",")] if args.theorems
+        else None)
     corpus = []
     for n in range(1, args.max_n + 1):
         corpus.extend(exhaustive_cographs(n))
@@ -261,9 +260,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     g, t = random_cograph(params)
     header = (f"# gen seed {params.seed} n {params.n} "
               f"max_arity {params.max_arity} balance {params.balance}\n")
-    _write_output(args.graph_out, header, gr.write_edge_list(g))
+    _write_output(args.graph_out,
+                  itertools.chain([header], gr._edge_list_pieces(g)))
     if args.cotree_out:
-        _write_output(args.cotree_out, ct.newick_write(t) + "\n")
+        _write_output(args.cotree_out, [ct.newick_write(t) + "\n"])
     return 0
 
 

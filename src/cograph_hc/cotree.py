@@ -99,7 +99,7 @@ class Cotree:
         return len(self.label)
 
     def n_leaves(self) -> int:
-        return sum(1 for l in self.label if l == LEAF)
+        return self.label.count(LEAF)
 
     def postorder(self) -> tuple[int, ...]:
         """Node ids below the root, children before parents, left to right.
@@ -107,17 +107,13 @@ class Cotree:
         Cached until the root or the node count changes."""
         key = (self.root, len(self.label))
         if self._postorder[0] != key:
-            out = []
-            stack = [(self.root, False)]
+            # parents first, last child first: reversed, this is the postorder
+            out, stack = [], [self.root]
             while stack:
-                u, done = stack.pop()
-                if done:
-                    out.append(u)
-                    continue
-                stack.append((u, True))
-                for c in reversed(self.children[u]):
-                    stack.append((c, False))
-            self._postorder = (key, tuple(out))
+                u = stack.pop()
+                out.append(u)
+                stack.extend(self.children[u])
+            self._postorder = (key, tuple(reversed(out)))
         return self._postorder[1]
 
     def leaf_masks(self) -> list[int]:
@@ -323,14 +319,11 @@ def realized_graph(t: Cotree) -> Graph:
 
 def node_chromatic_numbers(t: Cotree) -> list[int]:
     """Chromatic number below each node: leaf 1, union max, join sum."""
-    chi = [0] * t.n_nodes()
+    chi = [1] * t.n_nodes()
     for u in t.postorder():
-        if t.is_leaf(u):
-            chi[u] = 1
-        elif t.label[u] == 0:
-            chi[u] = max(chi[c] for c in t.children[u])
-        else:
-            chi[u] = sum(chi[c] for c in t.children[u])
+        if t.children[u]:
+            chi[u] = (sum if t.label[u] == 1 else max)(
+                map(chi.__getitem__, t.children[u]))
     return chi
 
 

@@ -9,7 +9,7 @@ and coloring files refer to a vertex by its name or by its decimal id.
 from __future__ import annotations
 
 import re
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
@@ -141,26 +141,34 @@ def _check_tokens(names: Sequence[str] | None, where: str) -> None:
 
 
 def write_edge_list(g: Graph) -> str:
-    """Edge-list text that `read_edge_list` reads back as g. The reader
-    resolves a name before a decimal id, so the edges are written by name
-    when some id would read back as another vertex, and as ids otherwise.
-    Each vertex's edges to higher vertices are one join."""
-    names, lines = g.names, [f"n {g.n}"]
+    """Edge-list text that `read_edge_list` reads back as g."""
+    return "".join(_edge_list_pieces(g))
+
+
+def _edge_list_pieces(g: Graph) -> Iterator[str]:
+    """The text of `write_edge_list` in line-ending pieces: the header, then
+    each vertex's edges to higher vertices as one join. The reader resolves
+    a name before a decimal id, so the edges are written by name when some
+    id would read back as another vertex, and as ids otherwise. The names
+    are checked before any piece is asked for."""
+    names, header = g.names, [f"n {g.n}\n"]
     labels = list(map(str, range(g.n)))
     if names is not None:
         _check_tokens(names, "an edge list")
-        lines.append("names " + " ".join(names))
+        header.append("names " + " ".join(names) + "\n")
         ids = VertexIds(names)
         if any(ids[v] != i for i, v in enumerate(labels)):
             labels = names
-    for u, row in enumerate(g.adj):
-        above = row >> (u + 1) << (u + 1)
-        if above:
-            head = labels[u] + " "
-            lines.append(head + ("\n" + head).join(
-                map(labels.__getitem__, bits(above))))
-    lines.append("")
-    return "\n".join(lines)
+
+    def rows() -> Iterator[str]:
+        for u, row in enumerate(g.adj):
+            above = row >> (u + 1) << (u + 1)
+            if above:
+                head = labels[u] + " "
+                yield head + ("\n" + head).join(
+                    map(labels.__getitem__, bits(above))) + "\n"
+
+    return chain(header, rows())
 
 
 # A comment runs from "#" to the end of its line; the character class holds

@@ -1,10 +1,12 @@
 """Constructive recursively-minimal coloring and hc-coloring counting.
 
-The coloring algorithms start from all-distinct colors and, walking the
-cotree bottom-up, recolor every non-maximum group at each union node into
-the color set of a group with maximum chromatic number via an injective
-map, given as a function of (source, target): `InjectionChooser` names the
-two the tool uses, and the oracle exhausts every choice on tiny instances.
+The coloring algorithms hand out palettes top-down: the root gets the
+colors 1..chi, a join deals its palette out in consecutive slices, and a
+union keeps its whole palette for its first child of maximum chromatic
+number and injects every other child's into it, by a function of (k, s)
+that picks k distinct indices into the union's palette of size s.
+`InjectionChooser` names the two the tool uses, and the oracle exhausts
+every choice on tiny instances.
 
 Counts are arbitrary-precision. Per-node counts follow the
 up-to-color-renaming convention (colorings identified when they induce the
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .graph import Graph
-from .cotree import Cotree, _cotree_of, _newick_spans, is_binary, realizes
+from .cotree import Cotree, _cotree_of, _newick_spans, is_binary, \
+    node_chromatic_numbers, realizes
 from .coloring import Coloring, _check_domain, _hc_refinement
 
 
@@ -30,17 +33,18 @@ class NotHcColoringError(ValueError):
         self.certificate = certificate
 
 
-# the images, in order, of a union child's sorted colors in the kept child's
-Images = Callable[[tuple[int, ...], tuple[int, ...]], Sequence[int]]
+# k distinct indices into a union's palette of size s, for a child of chi k
+Images = Callable[[int, int], Sequence[int]]
 
 
 @dataclass(frozen=True)
 class InjectionChooser:
     """Picks the injective recoloring maps used at union nodes.
 
-    identity-prefix maps the i-th smallest source color to the i-th
-    smallest target color; seeded-random draws each map from one
-    `random.Random(seed)` per run, so a fixed seed repeats its output.
+    identity-prefix gives a child of chromatic number k the first k colors
+    of the union's palette; seeded-random draws its k indices with
+    `sample` from one `random.Random(seed)` per run, so a fixed seed
+    repeats its output.
     """
 
     strategy: str = "identity-prefix"
@@ -53,9 +57,9 @@ class InjectionChooser:
     def _images(self) -> Images:
         """The images function of one run."""
         if self.strategy == "identity-prefix":
-            return lambda source, target: target[:len(source)]
+            return lambda k, s: range(k)
         sample = random.Random(self.seed).sample
-        return lambda source, target: sample(target, len(source))
+        return lambda k, s: sample(range(s), k)
 
 
 def _canonical_rename(sigma: list[int]) -> Coloring:
@@ -69,41 +73,43 @@ def _canonical_rename(sigma: list[int]) -> Coloring:
     return out
 
 
-def _recolor_bottom_up(t: Cotree, images: Images) -> Coloring:
-    """Shared core: groups at a 0-node are the child subtrees of t.
+def _recolor_top_down(t: Cotree, images: Images) -> Coloring:
+    """Shared core: hand each node its palette, parents before children.
 
-    Vertex v starts with color v + 1. Each pending subtree keeps the sorted
-    tuple of its colors, of length its chromatic number: (v + 1,) at a leaf,
-    the merge of the children at a join, and at a union its first longest
-    child's, into which the others are injected. A mapped color leaves use,
-    so `recolored` maps each color once and is resolved once at the end.
-    Join merges copy colors: a caterpillar costs the sum of its chi's.
-    The (source, target) pairs handed to `images` never depend on its
-    answers, since only `recolored` records them.
+    A palette of chi(u) colors is a view (base, offset): its color j is
+    offset + j + 1 if base is None (a range of 1..chi), else base[offset + j].
+    A join's children take consecutive slices, a union's first child of
+    maximum chi its whole palette, and each other child c the colors at
+    images(chi(c), s), built as a list unless they are range(chi(c)). Those
+    children's chi add up to less than n, since read bottom-up each of the
+    n starting colors is retired at most once: the pass is linear for either
+    chooser. Unions call `images` in reverse postorder, children left to
+    right, so the (k, s) pairs depend on the tree alone.
     """
-    recolored: dict[int, int] = {}
-    pending: list[tuple[int, ...]] = []
-    for u in t.postorder():
-        k = len(t.children[u])
-        if k == 0:
-            pending.append((t.vertex[u] + 1,))
-            continue
-        sets = pending[-k:]
-        del pending[-k:]
-        if t.label[u] == 1:
-            pending.append(tuple(sorted([x for s in sets for x in s])))
-            continue
-        # max() keeps the first maximum: canonical tie-break
-        best = max(range(k), key=lambda i: len(sets[i]))
-        for i, source in enumerate(sets):
-            if i != best:
-                recolored.update(zip(source, images(source, sets[best])))
-        pending.append(sets[best])
-    for x in reversed(recolored):  # later maps are resolved first
-        y = recolored[x]
-        recolored[x] = recolored.get(y, y)
-    return _canonical_rename([recolored.get(v + 1, v + 1)
-                              for v in range(t.n_leaves())])
+    chi = node_chromatic_numbers(t)
+    children, label, vertex = t.children, t.label, t.vertex
+    base: list[list[int] | None] = [None] * len(chi)
+    offset = [0] * len(chi)
+    sigma = [0] * t.n_leaves()
+    for u in reversed(t.postorder()):
+        kids, b, o = children[u], base[u], offset[u]
+        if not kids:
+            sigma[vertex[u]] = o + 1 if b is None else b[o]
+        elif label[u] == 1:
+            for c in kids:
+                base[c], offset[c] = b, o
+                o += chi[c]
+        else:
+            best = max(kids, key=chi.__getitem__)  # the first maximum
+            for c in kids:
+                if c != best:
+                    picks = images(chi[c], chi[u])
+                    if picks != range(chi[c]):
+                        base[c] = [o + j + 1 if b is None else b[o + j]
+                                   for j in picks]
+                        continue
+                base[c], offset[c] = b, o
+    return _canonical_rename(sigma)
 
 
 def alg1_color(g: Graph,
@@ -111,7 +117,7 @@ def alg1_color(g: Graph,
                ) -> tuple[Coloring, Cotree]:
     """Recursively minimal coloring along the discriminating cotree."""
     t = _cotree_of(g)
-    return _recolor_bottom_up(t, chooser._images()), t
+    return _recolor_top_down(t, chooser._images()), t
 
 
 def alg2_color(g: Graph, t: Cotree,
@@ -119,7 +125,7 @@ def alg2_color(g: Graph, t: Cotree,
     """Recursively minimal coloring w.r.t. a user-supplied cotree of g."""
     if not realizes(t, g):
         raise ValueError("cotree-graph-mismatch")
-    return _recolor_bottom_up(t, chooser._images())
+    return _recolor_top_down(t, chooser._images())
 
 
 # -- binary cotree reconstruction from an hc-colored cograph -------------------

@@ -8,7 +8,7 @@ subset table of color bitmasks against every such tree, and greedy-ness
 from enumerating every vertex order. Each check still calls the fast path
 it tests: `greedy_coloring`, `is_greedy`, `count_hc_wrt`, and the tree
 passes behind `is_hc_coloring`, `alg1_color` and `count_hc_total`
-(`_hc_refinement`, `_recolor_bottom_up`, `_count`), all run on the one
+(`_hc_refinement`, `_recolor_top_down`, `_count`), all run on the one
 discriminating cotree `build_cotree` gives for the instance. Size guards
 raise instead of silently taking forever.
 
@@ -30,7 +30,7 @@ from functools import cached_property
 from .graph import Graph, bits
 from .cotree import Cotree, P4Witness, _cotree_of
 from .coloring import Coloring, _hc_refinement, greedy_coloring, is_greedy
-from .hc_algorithms import InjectionChooser, _count, _recolor_bottom_up, \
+from .hc_algorithms import InjectionChooser, _count, _recolor_top_down, \
     count_hc_wrt
 
 THEOREM_IDS = ("T1", "L2", "L3", "T-greedy-iff", "T3", "T4", "COUNT")
@@ -276,19 +276,19 @@ def all_binary_cotrees(g: Graph) -> list[Cotree]:
 def enumerate_alg1_outputs(t: Cotree):
     """Yield every output the recursive coloring algorithm can produce on
     cotree t, exhausting the injection choices (tiny instances only): one
-    recording run lists each union's injections in lexicographic order, and
-    since no run's (source, target) pairs depend on its choices, each
+    recording run lists each union child's index choices in lexicographic
+    order, and since no run's (k, s) pairs depend on its choices, each
     combination of them replays as one run."""
     options: list[list[tuple[int, ...]]] = []
 
-    def record(source, target):
-        options.append(list(itertools.permutations(target, len(source))))
-        return target[:len(source)]
+    def record(k, s):
+        options.append(list(itertools.permutations(range(s), k)))
+        return range(k)
 
-    _recolor_bottom_up(t, record)
+    _recolor_top_down(t, record)
     for combo in itertools.product(*options):
         picks = iter(combo)
-        yield _recolor_bottom_up(t, lambda source, target: next(picks))
+        yield _recolor_top_down(t, lambda k, s: next(picks))
 
 
 # -- theorem reports ------------------------------------------------------------
@@ -426,6 +426,19 @@ class _GraphCtx:
         return [any(self.verdicts(c)) for c in self.partitions]
 
 
+def check_theorem_ids(theorems: list[str] | None) -> list[str]:
+    """The theorems to check, all if None; ValueError on an unknown or a
+    repeated id."""
+    if theorems is None:
+        return list(THEOREM_IDS)
+    for i, tid in enumerate(theorems):
+        if tid not in THEOREM_IDS:
+            raise ValueError(f"unknown theorem id {tid!r}")
+        if tid in theorems[:i]:
+            raise ValueError(f"duplicate theorem id {tid!r}")
+    return theorems
+
+
 def check_theorems(corpus: list[Graph], theorems: list[str] | None = None,
                    seed: int = 0) -> list[TheoremReport]:
     """Run every cross-check on the corpus; failures are data, not errors.
@@ -433,13 +446,7 @@ def check_theorems(corpus: list[Graph], theorems: list[str] | None = None,
     The per-instance RNG is derived from (seed, instance index), so an
     instance's checks do not depend on the instances before it.
     """
-    if theorems is None:
-        theorems = list(THEOREM_IDS)
-    for i, tid in enumerate(theorems):
-        if tid not in THEOREM_IDS:
-            raise ValueError(f"unknown theorem id {tid!r}")
-        if tid in theorems[:i]:
-            raise ValueError(f"duplicate theorem id {tid!r}")
+    theorems = check_theorem_ids(theorems)
     reports = {tid: TheoremReport(tid) for tid in theorems}
     for idx, g in enumerate(corpus):
         rng = random.Random((seed << 32) + idx)  # per-instance stream
@@ -567,7 +574,7 @@ def _check_t4(rep: TheoremReport, idx: int, ctx: _GraphCtx,
     choosers = [InjectionChooser("identity-prefix"),
                 InjectionChooser("seeded-random", seed=rng.getrandbits(32))]
     for chooser in choosers:
-        c = _recolor_bottom_up(t, chooser._images())
+        c = _recolor_top_down(t, chooser._images())
         if not _hc_refinement(t, c)[0].accepted:
             rep.counterexamples.append((idx, chooser.strategy, c))
         elif not ctx.recursively_minimal(c):

@@ -341,7 +341,8 @@ def test_check_guards(capsys):
     assert main(["check", "--max-n", "12"]) == 2
     assert "size-guard" in capsys.readouterr().err
     assert main(["check", "--max-n", "3", "--theorems", "T9"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr() == (
+        "", "error: unknown theorem id 'T9'\n")
 
 
 def test_gen_roundtrip(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -12,8 +13,8 @@ from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
                         newick_read, random_cograph,
                         realized_graph, realizes, reconstruct_cotree,
                         to_binary, verify_hc)
-from cograph_hc.cotree import align_to_graph, node_chromatic_numbers
-from cograph_hc.hc_algorithms import _canonical_rename, _recolor_bottom_up
+from cograph_hc.cotree import align_to_graph
+from cograph_hc.hc_algorithms import _count, _recolor_top_down
 from cograph_hc.oracle import (all_binary_cotrees, brute_chromatic,
                                enumerate_alg1_outputs, proper_partitions)
 
@@ -93,40 +94,65 @@ def test_alg2_join_rooted_skips_recoloring():
     assert c == {0: 1, 1: 2, 2: 3}
 
 
-# -- the recoloring pass against the leaf-list recoloring it replaced ----------
+# -- the palette pass against leaf lists and the pass it replaced --------------
+
+def first_appearance(sigma):
+    """Colors renamed to 1..k in order of first appearance by vertex id."""
+    rename = {}
+    for col in sigma:
+        rename.setdefault(col, len(rename) + 1)
+    return {v: rename[col] for v, col in enumerate(sigma)}
+
 
 def leaf_list_recolor(g, t, run):
-    """Reference: at each union in postorder, read the colors below every
-    child from per-node vertex lists, pick the first child of maximum
-    chromatic number, and rewrite every vertex of each other child through
-    its injection."""
+    """Reference: per node, its list of vertices and its palette as a list.
+    The root's palette is 1..chi; a join deals consecutive slices of its
+    own out to its children in order, and a union gives its first child
+    of maximum chromatic number the whole palette and each other child the
+    entries at the union's images of (that child's chi, its own). The walk
+    pops nodes from a stack that children are pushed onto left to right.
+    Every vertex takes its leaf's one color, and the vertices below each
+    node must show exactly its palette."""
     images = run._images() if isinstance(run, InjectionChooser) else run
-    sigma = [v + 1 for v in range(g.n)]
-    chi = node_chromatic_numbers(t)
+    chi = [0] * t.n_nodes()
     leaves = [[] for _ in range(t.n_nodes())]
     for u in t.postorder():
         kids = t.children[u]
-        leaves[u] = ([t.vertex[u]] if not kids
-                     else [x for k in kids for x in leaves[k]])
-        if t.label[u] != 0:
-            continue
-        best = max(range(len(kids)), key=lambda i: chi[kids[i]])
-        target = tuple(sorted({sigma[x] for x in leaves[kids[best]]}))
-        for i, k in enumerate(kids):
-            if i != best:
-                source = tuple(sorted({sigma[x] for x in leaves[k]}))
-                phi = dict(zip(source, images(source, target)))
-                for x in leaves[k]:
-                    sigma[x] = phi[sigma[x]]
-    return _canonical_rename(sigma)
+        if not kids:
+            chi[u], leaves[u] = 1, [t.vertex[u]]
+        else:
+            chi[u] = (sum if t.label[u] == 1 else max)(chi[k] for k in kids)
+            leaves[u] = [x for k in kids for x in leaves[k]]
+    palette = {t.root: list(range(1, chi[t.root] + 1))}
+    sigma = [0] * g.n
+    stack = [t.root]
+    while stack:
+        u = stack.pop()
+        kids, own = t.children[u], palette[u]
+        if not kids:
+            sigma[t.vertex[u]] = own[0]
+        elif t.label[u] == 1:
+            start = 0
+            for k in kids:
+                palette[k] = own[start:start + chi[k]]
+                start += chi[k]
+        else:
+            best = max(kids, key=lambda k: chi[k])
+            for k in kids:
+                palette[k] = own if k == best else \
+                    [own[j] for j in images(chi[k], chi[u])]
+        stack.extend(kids)
+    for u in t.postorder():
+        assert sorted({sigma[x] for x in leaves[u]}) == sorted(palette[u])
+    return first_appearance(sigma)
 
 
 def fast_recolor(g, t, run):
-    """alg2_color for a chooser, the recoloring pass for a plain images
+    """alg2_color for a chooser, the palette pass for a plain images
     function."""
     if isinstance(run, InjectionChooser):
         return alg2_color(g, t, run)
-    return _recolor_bottom_up(t, run)
+    return _recolor_top_down(t, run)
 
 
 def runs(seed):
@@ -135,20 +161,19 @@ def runs(seed):
     rng = random.Random(seed)
     return [InjectionChooser("identity-prefix"),
             InjectionChooser("seeded-random", seed=seed),
-            lambda source, target: rng.sample(target, len(source))]
+            lambda k, s: rng.sample(range(s), k)]
 
 
 def traced(recolor, g, t, seed):
-    """Per run, the coloring and the (source, target) calls of its images
-    function."""
+    """Per run, the coloring and the (k, s) calls of its images function."""
     out = []
     for run in runs(seed):
         calls = []
 
         def spy(images):
-            def spied(source, target):
-                calls.append((source, target))
-                return images(source, target)
+            def spied(k, s):
+                calls.append((k, s))
+                return images(k, s)
             return spied
 
         make = InjectionChooser._images
@@ -179,6 +204,124 @@ def test_recolor_matches_leaf_lists_on_random_cographs(n):
         for arity in (2, 3, 6):
             g, _ = random_cograph(GenParams(n=n, seed=seed, max_arity=arity))
             assert_recolors_as_leaf_lists(g, seed)
+
+
+def bottom_up_recolor(t, images):
+    """Reference: the bottom-up pass the palette pass replaced. Vertex v
+    starts with color v + 1; each pending subtree keeps the sorted tuple of
+    its colors, merged at a join, and at a union every child but the first
+    longest is mapped into that one's tuple by images(source, target), the
+    images in order of the source's colors. Each map is resolved once at
+    the end."""
+    recolored = {}
+    pending = []
+    for u in t.postorder():
+        k = len(t.children[u])
+        if k == 0:
+            pending.append((t.vertex[u] + 1,))
+            continue
+        sets = pending[-k:]
+        del pending[-k:]
+        if t.label[u] == 1:
+            pending.append(tuple(sorted([x for s in sets for x in s])))
+            continue
+        best = max(range(k), key=lambda i: len(sets[i]))
+        for i, source in enumerate(sets):
+            if i != best:
+                recolored.update(zip(source, images(source, sets[best])))
+        pending.append(sets[best])
+    for x in reversed(recolored):
+        y = recolored[x]
+        recolored[x] = recolored.get(y, y)
+    return first_appearance([recolored.get(v + 1, v + 1)
+                             for v in range(t.n_leaves())])
+
+
+def bottom_up_alg1_outputs(t):
+    """Reference: every output of the bottom-up pass, each union's
+    injections exhausted."""
+    options = []
+
+    def record(source, target):
+        options.append(list(itertools.permutations(target, len(source))))
+        return target[:len(source)]
+
+    bottom_up_recolor(t, record)
+    for combo in itertools.product(*options):
+        picks = iter(combo)
+        yield bottom_up_recolor(t, lambda source, target: next(picks))
+
+
+def partition(c):
+    blocks = {}
+    for v, col in c.items():
+        blocks.setdefault(col, set()).add(v)
+    return frozenset(frozenset(b) for b in blocks.values())
+
+
+def test_palette_and_bottom_up_passes_reach_the_same_partitions(
+        small_cographs):
+    for g in small_cographs:
+        t = build_cotree(g)
+        for tree in (t, to_binary(t, "left-comb")):
+            assert {partition(c) for c in enumerate_alg1_outputs(tree)} == \
+                {partition(c) for c in bottom_up_alg1_outputs(tree)}
+
+
+def test_choice_space_matches_the_count(small_cographs):
+    # one run per combination of union choices, and no two alike: the
+    # runs are exactly the count's hc-colorings up to renaming
+    trees = 0
+    for g in small_cographs:
+        t = build_cotree(g)
+        for tree in (t, to_binary(t, "left-comb")):
+            keys = [partition(c) for c in enumerate_alg1_outputs(tree)]
+            assert len(keys) == len(set(keys)) == _count(tree).root_partitions
+            trees += 1
+    assert trees == 1070
+
+
+def caterpillar(n):
+    """Leaves 0..n-1, one per level, labels alternating."""
+    t = Cotree()
+    acc = t.add_leaf(n - 1)
+    for v in range(n - 2, -1, -1):
+        acc = t.add_inner(v % 2, [t.add_leaf(v), acc])
+    t.root = acc
+    return t
+
+
+def join_comb(n):
+    """K_n as a left comb of joins."""
+    t = Cotree()
+    acc = t.add_leaf(0)
+    for v in range(1, n):
+        acc = t.add_inner(1, [acc, t.add_leaf(v)])
+    t.root = acc
+    return t
+
+
+@pytest.mark.parametrize("strategy", ["identity-prefix", "seeded-random"])
+@pytest.mark.parametrize("shape, chi", [(caterpillar, 50_000),
+                                        (join_comb, 100_000)])
+def test_recolor_depth_100000_in_linear_time_and_memory(shape, chi,
+                                                        strategy):
+    # the bottom-up pass merged every join's colors again, quadratic: it
+    # took 6.4 s at caterpillar depth 4*10^4 on a 2-vCPU host
+    images = InjectionChooser(strategy, seed=1)._images
+    t = shape(100_000)
+    start = time.perf_counter()
+    c = _recolor_top_down(t, images())
+    assert time.perf_counter() - start < 1
+    assert len(c) == 100_000 and max(c.values()) == chi
+    t = shape(100_000)  # its walk uncached again
+    tracemalloc.start()
+    try:
+        assert _recolor_top_down(t, images()) == c
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 << 20
 
 
 def test_alg1_memory_on_a_deep_caterpillar():
@@ -423,39 +566,33 @@ def test_count_matches_references_on_a_deep_caterpillar():
 
 
 def test_exhaustive_outputs_cover_hc_set(k2_k1_k1):
-    def key(c):
-        blocks = {}
-        for v, col in c.items():
-            blocks.setdefault(col, set()).add(v)
-        return frozenset(frozenset(b) for b in blocks.values())
-
-    produced = {key(c)
+    produced = {partition(c)
                 for c in enumerate_alg1_outputs(build_cotree(k2_k1_k1))}
-    hc = {key(c) for c in proper_partitions(k2_k1_k1)
+    hc = {partition(c) for c in proper_partitions(k2_k1_k1)
           if is_hc_coloring(k2_k1_k1, c).accepted}
     assert produced == hc
     assert len(produced) == 4
 
 
 def replayed_alg1_outputs(t):
-    """Reference: a recording run counts each union's injections; every
-    combination of indices is replayed, each call building its target's
-    permutations again and taking the chosen one."""
+    """Reference: a recording run counts each union child's index choices;
+    every combination of indices is replayed, each call building its
+    choices again and taking the chosen one."""
     events = []
 
-    def recorder(src, tgt):
-        events.append((len(src), len(tgt)))
-        return tgt[:len(src)]
+    def recorder(k, s):
+        events.append((k, s))
+        return range(k)
 
-    _recolor_bottom_up(t, recorder)
-    option_counts = [math.perm(b, a) for a, b in events]
+    _recolor_top_down(t, recorder)
+    option_counts = [math.perm(s, k) for k, s in events]
     for combo in itertools.product(*(range(k) for k in option_counts)):
         picks = iter(combo)
 
-        def replay(src, tgt):
-            return list(itertools.permutations(tgt, len(src)))[next(picks)]
+        def replay(k, s):
+            return list(itertools.permutations(range(s), k))[next(picks)]
 
-        yield _recolor_bottom_up(t, replay)
+        yield _recolor_top_down(t, replay)
 
 
 def test_exhaustive_outputs_match_replay_by_index(small_cographs):
