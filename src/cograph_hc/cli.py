@@ -122,6 +122,8 @@ def _cmd_cotree(args: argparse.Namespace) -> int:
 
 
 def _cmd_color(args: argparse.Namespace) -> int:
+    if args.order is not None and args.method != "greedy":
+        raise _CliError("--order needs --method greedy")
     g = _load_graph(args.graph)
     if args.method == "greedy":
         if args.order:

@@ -1,5 +1,10 @@
 """Instance sources: exhaustive small cographs and seeded random cographs.
 
+The exhaustive stream extends each labeled cograph on n - 1 vertices by
+one vertex (see `exhaustive_cographs`). Its P4 search is the oracle's
+brute-force one, imported when first needed, so that loading this module
+does not load the oracle.
+
 Random instances are sampled as random cotrees, which guarantees cograph
 membership by construction and hands back the ground-truth cotree. The
 random stream is `random.Random(seed)` (Mersenne Twister) consumed in a
@@ -79,21 +84,28 @@ def random_cograph(p: GenParams) -> tuple[Graph, Cotree]:
 
 
 def exhaustive_cographs(n: int) -> Iterator[Graph]:
-    """Stream all labeled P4-free graphs on n vertices."""
-    from .oracle import find_induced_p4
+    """Stream all labeled P4-free graphs on n vertices, in increasing order
+    of edge mask, where bit i of the mask is the i-th vertex pair (u, v),
+    u < v, in lexicographic order.
+
+    A P4 of G either lies in G - 0 or passes through vertex 0. Vertex 0's
+    pairs are the mask's low n - 1 bits, so each P4-free graph on 1..n-1
+    (the (n-1)-stream with ids shifted up by one), in order, is extended by
+    every neighbourhood of vertex 0 in increasing order, and an extension
+    is kept iff no induced P4 passes through vertex 0.
+    """
+    from .oracle import _has_p4_through
 
     if n < 1 or n > 7:
         raise ValueError("size-guard: exhaustive_cographs needs 1 <= n <= 7")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        m = mask
-        while m:
-            low = m & -m
-            u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            m ^= low
-        g = Graph._from_adj(n, adj, None)
-        if find_induced_p4(g) is None:
-            yield g
+    if n == 1:
+        yield Graph._from_adj(1, (0,), None)
+        return
+    rest = range(1, n)
+    for h in exhaustive_cographs(n - 1):
+        adj = [0, *(row << 1 for row in h.adj)]
+        for s in range(0, 1 << n, 2):
+            adj[0] = s
+            if not _has_p4_through(adj, 0):
+                yield Graph._from_adj(
+                    n, (s, *(adj[u] | s >> u & 1 for u in rest)), None)

@@ -1,8 +1,11 @@
 """Brute-force reference implementations and mechanical theorem checks.
 
-Nothing here shares algorithmic code with the fast paths: cograph-ness,
-chromatic and Grundy numbers and components come from exhaustive search
-over vertex bitsets, the binary cotrees of a graph from splitting its
+Nothing here shares algorithmic code with the fast paths: cograph-ness
+comes from trying every vertex quadruple for an induced P4
+(`find_induced_p4`), or, as `exhaustive_cographs` adds one vertex at a
+time, every induced P4 through that vertex (`_has_p4_through`); chromatic and
+Grundy numbers and components come from exhaustive search over vertex
+bitsets, the binary cotrees of a graph from splitting its
 vertex set in every way, hc-ness and recursive minimality from checking a
 subset table of color bitmasks against every such tree, and greedy-ness
 from enumerating every vertex order. Each check still calls the fast path
@@ -54,6 +57,43 @@ def find_induced_p4(g: Graph) -> P4Witness | None:
         if adj[b] >> c & 1:
             return P4Witness(a, b, c, d)
     return None
+
+
+def _has_p4_through(adj: list[int], v: int) -> bool:
+    """Whether an induced P4 passes through v, by bitset search over v's
+    neighbours a.
+
+    v is an endpoint of v-a-b-c when b lies outside N[v] and c outside
+    N[v] and N[a]; v is inside b-v-a-c when b is in N(v) outside N[a] and
+    c in N(a) outside N[v] and N(b). No mask reads bit v of a row other
+    than v's, so those rows may leave v out. `exhaustive_cographs` calls
+    this once per candidate neighbourhood, so the bit loops are inlined
+    and the masks stay nonnegative (small ints are cached, negative ones
+    mostly not).
+    """
+    nv = adj[v]
+    out = ((1 << len(adj)) - 1) ^ nv ^ (1 << v)
+    todo = nv
+    while todo:
+        a = todo.bit_length() - 1
+        todo ^= 1 << a
+        ext = adj[a] & out
+        if not ext:
+            continue
+        far = out ^ ext
+        m = ext
+        while m:
+            b = m.bit_length() - 1
+            m ^= 1 << b
+            if adj[b] & far:
+                return True
+        m = nv ^ (nv & adj[a]) ^ (1 << a)
+        while m:
+            b = m.bit_length() - 1
+            m ^= 1 << b
+            if ext & adj[b] != ext:
+                return True
+    return False
 
 
 def brute_chromatic(g: Graph) -> int:

@@ -119,6 +119,18 @@ def test_color_bad_order(files, capsys):
     capsys.readouterr()
 
 
+def test_color_order_needs_greedy(files, capsys, tmp_path):
+    # alg1 (the default method) takes no order: refused, not ignored
+    out = tmp_path / "c.txt"
+    g = files("g.txt", GRAPH)
+    for method in (["--method", "alg1"], []):
+        assert main(["color", g, *method, "--order", "a,b,c,d",
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --order needs --method greedy\n")
+    assert not out.exists()
+
+
 def test_verify_summary_exit_codes(files, capsys):
     g = files("g.txt", GRAPH)
     assert main(["verify", g, files("b.txt", COLORING_B)]) == 0
@@ -326,6 +338,7 @@ def test_check_refuses_a_repeated_theorem(capsys):
 def test_cli_import_loads_no_process_pool():
     # `check` is serial, so starting the CLI imports neither
     # multiprocessing nor concurrent.futures; only `check` loads the oracle
+    # (`exhaustive_cographs` imports its P4 search when first called)
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

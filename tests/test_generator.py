@@ -1,10 +1,25 @@
+import tracemalloc
+from itertools import combinations
+
 import pytest
 
-from cograph_hc import (GenParams, P4Witness, build_cotree,
+from cograph_hc import (GenParams, Graph, P4Witness, build_cotree,
                         exhaustive_cographs, random_cograph, realizes)
+from cograph_hc.oracle import _has_p4_through, find_induced_p4
 
 # labeled cograph counts, frozen after exhaustive P4-free filtering
-COGRAPH_COUNTS = {1: 1, 2: 2, 3: 8, 4: 52, 5: 472}
+# (OEIS A006351)
+COGRAPH_COUNTS = {1: 1, 2: 2, 3: 8, 4: 52, 5: 472, 6: 5504, 7: 78416}
+
+
+def scan_cographs(n):
+    """The reference order: every edge mask over the lexicographic vertex
+    pairs in increasing order, kept iff no vertex quadruple is a P4."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for mask in range(1 << len(pairs)):
+        g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        if find_induced_p4(g) is None:
+            yield g
 
 
 def test_genparams_validation():
@@ -17,13 +32,52 @@ def test_genparams_validation():
 
 
 def test_exhaustive_counts():
-    for n in (1, 2, 3, 4):
+    for n in range(1, 7):
         assert sum(1 for _ in exhaustive_cographs(n)) == COGRAPH_COUNTS[n]
 
 
 def test_exhaustive_streams_unique_graphs():
     seen = set(exhaustive_cographs(4))
     assert len(seen) == COGRAPH_COUNTS[4]
+
+
+def test_exhaustive_matches_the_scan_in_order():
+    # tests slice this sequence and the oracle seeds by instance index,
+    # so the one-vertex extension must keep the scan's order exactly
+    for n in range(1, 7):
+        assert ([g.adj for g in exhaustive_cographs(n)]
+                == [g.adj for g in scan_cographs(n)]), n
+
+
+def test_exhaustive_n7_streams_in_constant_memory():
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in exhaustive_cographs(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == COGRAPH_COUNTS[7]
+    assert peak < 1 << 20
+
+
+def test_p4_through_matches_the_quadruple_search():
+    # every graph on 5 vertices and every v: a P4 through v is found
+    # exactly when some quadruple holding v induces a P4, and rows other
+    # than v's give the same answer without v's bit
+    n = 5
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for mask in range(1 << len(pairs)):
+        adj = Graph(n, [p for i, p in enumerate(pairs)
+                        if mask >> i & 1]).adj
+        for v in range(n):
+            through = any(
+                sorted((adj[x] & sum(1 << y for y in q)).bit_count()
+                       for x in q) == [1, 1, 2, 2]
+                for q in combinations(range(n), 4) if v in q)
+            bare = [row if u == v else row & ~(1 << v)
+                    for u, row in enumerate(adj)]
+            assert _has_p4_through(list(adj), v) is through
+            assert _has_p4_through(bare, v) is through
 
 
 def test_exhaustive_size_guard():
