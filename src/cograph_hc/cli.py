@@ -2,6 +2,10 @@
 
 Exit codes: 0 = success / accept, 1 = reject / negative result,
 2 = usage or I/O error, a closed standard output (broken pipe) included.
+
+Only `graph` and `cotree` load with this module; each subcommand imports
+the rest of what it runs, so that a process pays at start-up only for the
+code its command calls.
 """
 
 from __future__ import annotations
@@ -17,9 +21,6 @@ from typing import Iterable
 
 from . import graph as gr
 from . import cotree as ct
-from . import coloring as col
-from . import hc_algorithms as hca
-from .generator import GenParams, exhaustive_cographs, random_cograph
 
 
 class _CliError(Exception):
@@ -124,6 +125,8 @@ def _cmd_cotree(args: argparse.Namespace) -> int:
 def _cmd_color(args: argparse.Namespace) -> int:
     if args.order is not None and args.method != "greedy":
         raise _CliError("--order needs --method greedy")
+    from . import coloring as col
+
     g = _load_graph(args.graph)
     if args.method == "greedy":
         if args.order:
@@ -139,6 +142,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
             random.Random(args.seed).shuffle(order)
         c = col.greedy_coloring(g, order)
     else:  # alg1
+        from . import hc_algorithms as hca
+
         chooser = hca.InjectionChooser("seeded-random", seed=args.seed)
         try:
             c, _ = hca.alg1_color(g, chooser)
@@ -151,6 +156,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import coloring as col
+
     g = _load_graph(args.graph)
     try:
         c = col.read_coloring(_read_text(args.coloring), g)
@@ -207,6 +214,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from . import hc_algorithms as hca
+
     g = _load_graph(args.graph)
     try:
         if args.cotree:
@@ -226,7 +235,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from . import oracle  # only `check` loads it, so start-up stays short
+    from . import oracle
+    from .generator import exhaustive_cographs
 
     if args.max_n > 6:
         raise _CliError(f"size-guard: --max-n {args.max_n} exceeds 6")
@@ -257,6 +267,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generator import GenParams, random_cograph
+
     params = GenParams(n=args.n, seed=args.seed, max_arity=args.max_arity,
                        balance=args.balance)
     g, t = random_cograph(params)

@@ -8,8 +8,7 @@ unions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import Graph, VertexIds, bits, _COMMENT, _check_tokens
 from .cotree import Cotree, _cotree_of, is_binary, realizes
@@ -17,8 +16,7 @@ from .cotree import Cotree, _cotree_of, is_binary, realizes
 Coloring = dict[int, int]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of an hc verification; rejections carry a certificate."""
 
     accepted: bool

@@ -14,16 +14,15 @@ interpreter recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import filterfalse, islice
+from typing import NamedTuple
 
 from .graph import Graph, VertexIds, bits
 
 LEAF = -1
 
 
-@dataclass(frozen=True)
-class P4Witness:
+class P4Witness(NamedTuple):
     """Four vertices inducing the path a-b-c-d."""
 
     a: int

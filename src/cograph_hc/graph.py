@@ -9,7 +9,7 @@ and coloring files refer to a vertex by its name or by its decimal id.
 from __future__ import annotations
 
 import re
-from itertools import chain, filterfalse
+from itertools import chain, compress, count, filterfalse, repeat
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
@@ -88,12 +88,10 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographically sorted."""
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1) << (u + 1)
-            while rest:
-                low = rest & -rest
-                yield u, low.bit_length() - 1
-                rest ^= low
+        for u, row in enumerate(self.adj):
+            above = row >> (u + 1)
+            if above:
+                yield from zip(repeat(u), _bits_from(above, u + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -117,6 +115,20 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# bytes.translate table from the digits of bin() to 0/1 selectors
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits_from(mask: int, lo: int) -> Iterable[int]:
+    """lo + i for each set bit i of mask, ascending. A mask with at least
+    one set bit in 16 is decoded in C from its binary digits, Theta(width)
+    in all; a sparser one bit by bit, by `bits`."""
+    if mask.bit_count() * 16 < mask.bit_length():
+        return map(lo.__add__, bits(mask))
+    digits = bin(mask)[:1:-1].encode()  # lowest bit first
+    return compress(count(lo), digits.translate(_DIGIT_BITS))
 
 
 # -- elementary operations -------------------------------------------------
@@ -162,11 +174,11 @@ def _edge_list_pieces(g: Graph) -> Iterator[str]:
 
     def rows() -> Iterator[str]:
         for u, row in enumerate(g.adj):
-            above = row >> (u + 1) << (u + 1)
+            above = row >> (u + 1)
             if above:
                 head = labels[u] + " "
                 yield head + ("\n" + head).join(
-                    map(labels.__getitem__, bits(above))) + "\n"
+                    map(labels.__getitem__, _bits_from(above, u + 1))) + "\n"
 
     return chain(header, rows())
 

@@ -19,12 +19,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .graph import Graph
 from .cotree import Cotree, _cotree_of, _newick_spans, is_binary, \
     node_chromatic_numbers, realizes
-from .coloring import Coloring, _check_domain, _hc_refinement
+
+if TYPE_CHECKING:
+    from .coloring import Coloring
 
 
 class NotHcColoringError(ValueError):
@@ -135,6 +137,9 @@ def reconstruct_cotree(g: Graph, c: Coloring) -> Cotree:
     refinement `is_hc_coloring` decides on, each node's children combed in
     the order `_hc_refinement` gives. Else NotHcColoringError carries the
     sets of `is_hc_coloring`'s verdict."""
+    # imported here, the one use, so that counting never loads coloring
+    from .coloring import _check_domain, _hc_refinement
+
     _check_domain(g, c)
     t = _cotree_of(g)
     verdict, order = _hc_refinement(t, c)

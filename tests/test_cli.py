@@ -1,3 +1,4 @@
+import ast
 import io
 import os
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from cograph_hc import GenParams, random_cograph, write_edge_list
+from cograph_hc import (GenParams, random_cograph, read_edge_list,
+                        write_edge_list)
 from cograph_hc.cli import main
 
 GRAPH = "n 4\nnames a b c d\na b\n"
@@ -335,19 +337,105 @@ def test_check_refuses_a_repeated_theorem(capsys):
         "", "error: duplicate theorem id 'T1'\n")
 
 
+def _fresh_env() -> dict[str, str]:
+    src = str(Path(__file__).parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+# modules that recognizing a graph does not run
+UNUSED_AT_START = ("dataclasses", "inspect", "cograph_hc.coloring",
+                   "cograph_hc.hc_algorithms", "cograph_hc.generator",
+                   "cograph_hc.oracle", "multiprocessing",
+                   "concurrent.futures")
+
+# Runs the CLI as `python -m cograph_hc.cli` does, with the arguments after
+# -c, and at exit prints to stderr which of UNUSED_AT_START it loaded.
+_RUN_AND_LIST = (
+    "import atexit, runpy, sys\n"
+    f"watch = {UNUSED_AT_START!r}\n"
+    "atexit.register(lambda: print(sorted(m for m in watch\n"
+    "                                     if m in sys.modules),\n"
+    "                              file=sys.stderr))\n"
+    "runpy.run_module('cograph_hc.cli', run_name='__main__')\n")
+
+
+def _loaded_by(*argv: str) -> tuple[int, list[str]]:
+    """Exit code and the modules of UNUSED_AT_START that one CLI command
+    loads in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST, *argv],
+                          env=_fresh_env(), capture_output=True, text=True)
+    return proc.returncode, ast.literal_eval(proc.stderr.splitlines()[-1])
+
+
 def test_cli_import_loads_no_process_pool():
     # `check` is serial, so starting the CLI imports neither
     # multiprocessing nor concurrent.futures; only `check` loads the oracle
-    # (`exhaustive_cographs` imports its P4 search when first called)
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # (`exhaustive_cographs` imports its P4 search when first called). The
+    # CLI loads `graph` and `cotree` alone, and each command the rest of
+    # what it runs: neither `dataclasses` nor the coloring, counting or
+    # generating code for `recognize`.
     code = ("import cograph_hc.cli, sys; print(sorted(m for m in "
-            "('multiprocessing', 'concurrent.futures', 'cograph_hc.oracle') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+            f"{UNUSED_AT_START!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_each_command_loads_only_what_it_runs(files):
+    g = files("g.txt", GRAPH)
+    c = files("c.txt", COLORING_A)
+    assert _loaded_by("recognize", g) == (0, [])
+    assert _loaded_by("cotree", g, "--binary", "left-comb") == (0, [])
+    assert _loaded_by("color", g, "--method", "greedy") == (
+        0, ["cograph_hc.coloring"])
+    assert _loaded_by("verify", g, c) == (0, ["cograph_hc.coloring"])
+    code, loaded = _loaded_by("count", g)
+    assert code == 0 and "cograph_hc.coloring" not in loaded
+    assert "cograph_hc.hc_algorithms" in loaded
+
+
+def test_every_subcommand_runs_in_a_fresh_interpreter(tmp_path, monkeypatch,
+                                                      capsys):
+    # Each command in its own process, where only what it imports is
+    # loaded: code that reaches a module some other import happened to load
+    # works in this test session, which has loaded them all, but fails
+    # there. Each process must give the expected exit code and match main()
+    # run here: standard output and the files in the directory.
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        (0, "gen", "--n", "30", "--seed", "4", "--graph-out", "g.txt",
+         "--cotree-out", "t.nwk"),
+        (0, "recognize", "g.txt"),
+        (0, "cotree", "g.txt", "--binary", "chi-ascending", "-o", "b.nwk"),
+        (0, "color", "g.txt", "--method", "greedy", "-o", "c2.txt"),
+        (0, "color", "g.txt", "--method", "alg1", "-o", "c1.txt"),
+        (0, "verify", "g.txt", "c2.txt"),
+        (0, "verify", "g.txt", "c2.txt", "--cotree", "b.nwk"),
+        (1, "verify", "g.txt", "c1.txt", "--cotree", "b.nwk"),
+        (0, "count", "g.txt"),
+        (0, "count", "g.txt", "--cotree", "b.nwk"),
+        (0, "cotree", "t.nwk", "--realize", "-o", "r.txt"),
+    ]
+    outputs = []
+    for code, *argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "cograph_hc.cli",
+                               *argv], env=_fresh_env(), capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stderr) == (code, ""), argv
+        files = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        assert main(argv) == code
+        assert capsys.readouterr() == (proc.stdout, "")
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == files
+        outputs.append(proc.stdout)
+    assert outputs[1].startswith("COGRAPH ")
+    assert outputs[5] == "proper=yes hc=yes greedy=yes\n"
+    assert outputs[6] == "ACCEPT\n"
+    assert outputs[7].startswith("K3 violation at node over ")
+    assert outputs[8].splitlines()[-1].startswith("labeled_total ")
+    g, r = (read_edge_list((tmp_path / f).read_text())
+            for f in ("g.txt", "r.txt"))
+    assert (r.adj, r.vertex_names()) == (g.adj, g.vertex_names())
 
 
 def test_check_guards(capsys):

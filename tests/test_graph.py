@@ -31,6 +31,22 @@ def test_edges_sorted_and_deduplicated():
     assert g.adj[0].bit_count() == 2 and g.adj[2].bit_count() == 1
 
 
+@pytest.mark.parametrize("density", [0.0, 0.002, 0.03, 0.07, 0.5, 1.0])
+def test_edges_and_writer_match_the_pairs_on_dense_and_sparse_rows(density):
+    # a row's bits above u are decoded from its binary digits when at least
+    # one in 16 is set, else one bit at a time: both sides of that switch,
+    # and rows that cross it, against a test of every pair
+    rng = random.Random(f"rows {density}")
+    n = 260
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                  if rng.random() < density * (1.5 - u / n)])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if g.has_edge(u, v)]
+    assert list(g.edges()) == pairs
+    assert write_edge_list(g) == "".join(
+        [f"n {n}\n", *(f"{u} {v}\n" for u, v in pairs)])
+
+
 def test_complement_small_cases():
     k1 = Graph(1)
     assert complement(k1) == k1

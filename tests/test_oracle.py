@@ -308,8 +308,10 @@ def test_sweep_runs_greedy_and_verify_hc_once_per_distinct_call(monkeypatch):
         return verify(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "greedy_coloring", counting_greedy)
-    monkeypatch.setattr(coloring, "verify_hc", counting_verify)
+    # the package first: it reads its exports from their home modules, so
+    # patched second it would be restored to counting_verify
     monkeypatch.setattr(cograph_hc, "verify_hc", counting_verify)
+    monkeypatch.setattr(coloring, "verify_hc", counting_verify)
     for space in (cotree, coloring, hc_algorithms, oracle):
         monkeypatch.setattr(space, "build_cotree", counting_build,
                             raising=False)
