@@ -18,8 +18,8 @@ __all__ = [
     "Coloring", "Verdict", "greedy_coloring", "is_greedy", "is_hc_coloring",
     "is_proper", "read_coloring", "verify_hc", "write_coloring",
     "CountReport", "InjectionChooser", "NodeCount", "NotHcColoringError",
-    "alg1_color", "alg2_color", "count_hc_total", "count_hc_wrt",
-    "g_injections", "reconstruct_cotree",
+    "alg1_color", "count_hc_total", "count_hc_wrt", "g_injections",
+    "reconstruct_cotree",
     "GenParams", "exhaustive_cographs", "random_cograph",
 ]
 
@@ -41,9 +41,8 @@ _HOME = {name: module for module, names in [
                   "is_hc_coloring", "is_proper", "read_coloring", "verify_hc",
                   "write_coloring")),
     ("hc_algorithms", ("CountReport", "InjectionChooser", "NodeCount",
-                       "NotHcColoringError", "alg1_color", "alg2_color",
-                       "count_hc_total", "count_hc_wrt", "g_injections",
-                       "reconstruct_cotree")),
+                       "NotHcColoringError", "alg1_color", "count_hc_total",
+                       "count_hc_wrt", "g_injections", "reconstruct_cotree")),
     ("generator", ("GenParams", "exhaustive_cographs", "random_cograph")),
 ] for name in names}
 

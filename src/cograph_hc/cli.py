@@ -57,10 +57,12 @@ def _load_graph(path: str) -> gr.Graph:
 
 def _load_cotree(path: str, g: gr.Graph) -> ct.Cotree:
     try:
-        t = ct.newick_read(_read_text(path))
-        return ct.align_to_graph(t, g)
+        t = ct.align_to_graph(ct.newick_read(_read_text(path)), g)
     except ValueError as exc:
         raise _CliError(f"{path}: {exc}") from exc
+    if not ct.realizes(t, g):
+        raise _CliError(f"{path}: cotree-graph-mismatch")
+    return t
 
 
 # characters per write: a text is encoded a slice at a time, never whole
@@ -85,19 +87,10 @@ def _write_output(path: str | None, texts: Iterable[str]) -> None:
         raise _CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _witness_names(g: gr.Graph, w: ct.P4Witness) -> str:
-    names = g.vertex_names()
-    return " ".join(names[v] for v in w.as_tuple())
-
-
 # -- subcommands -----------------------------------------------------------------
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    t = ct.build_cotree(g)
-    if isinstance(t, ct.P4Witness):
-        print(f"NOT-COGRAPH {_witness_names(g, t)}")
-        return 1
+    t = ct._cotree_of(_load_graph(args.graph))
     print(f"COGRAPH {ct.newick_write(t)}")
     return 0
 
@@ -111,11 +104,7 @@ def _cmd_cotree(args: argparse.Namespace) -> int:
             raise _CliError(f"{args.graph}: {exc}") from exc
         _write_output(args.output, gr._edge_list_pieces(g))
         return 0
-    g = _load_graph(args.graph)
-    t = ct.build_cotree(g)
-    if isinstance(t, ct.P4Witness):
-        print(f"NOT-COGRAPH {_witness_names(g, t)}")
-        return 1
+    t = ct._cotree_of(_load_graph(args.graph))
     if args.binary:
         t = ct.to_binary(t, args.binary)
     _write_output(args.output, [ct.newick_write(t) + "\n"])
@@ -145,11 +134,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
         from . import hc_algorithms as hca
 
         chooser = hca.InjectionChooser("seeded-random", seed=args.seed)
-        try:
-            c, _ = hca.alg1_color(g, chooser)
-        except ct.NotACographError as exc:
-            print(f"NOT-COGRAPH {_witness_names(g, exc.witness)}")
-            return 1
+        c, _ = hca.alg1_color(g, chooser)
     _write_output(args.output, [col.write_coloring(g, c)])
     print(f"colors {len(set(c.values()))}")
     return 0
@@ -169,7 +154,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not ct.is_binary(t):
             print("note: refined non-binary cotree to binary (left-comb)")
             t = ct.to_binary(t, "left-comb")
-        verdict = col.verify_hc(g, t, c)
+        verdict = col.verify_hc(g, t, c, check_tree=False)
         if verdict.accepted:
             print("ACCEPT")
             return 0
@@ -193,11 +178,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("hc=no: the coloring is not proper")
         print("greedy=no: the coloring is not proper")
         return 1
-    try:
-        hc = col.is_hc_coloring(g, c)
-    except ct.NotACographError as exc:
-        print(f"NOT-COGRAPH {_witness_names(g, exc.witness)}")
-        return 1
+    hc = col.is_hc_coloring(g, c)
     missing = col._greedy_witness(g, c)
     yn = {True: "yes", False: "no"}
     print(f"proper=yes hc={yn[hc.accepted]} greedy={yn[missing is None]}")
@@ -217,19 +198,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
     from . import hc_algorithms as hca
 
     g = _load_graph(args.graph)
-    try:
-        if args.cotree:
-            t = _load_cotree(args.cotree, g)
-            if not ct.realizes(t, g):
-                raise _CliError("cotree-graph-mismatch")
-            if not ct.is_binary(t):
-                t = ct.to_binary(t, "left-comb")
-            report = hca.count_hc_wrt(t)
-        else:
-            report = hca.count_hc_total(g)
-    except ct.NotACographError as exc:
-        print(f"NOT-COGRAPH {_witness_names(g, exc.witness)}")
-        return 1
+    if args.cotree:
+        t = _load_cotree(args.cotree, g)
+        if not ct.is_binary(t):
+            t = ct.to_binary(t, "left-comb")
+        report = hca.count_hc_wrt(t)
+    else:
+        report = hca.count_hc_total(g)
     sys.stdout.write(report.render())
     return 0
 
@@ -344,7 +319,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        try:
+            code = args.fn(args)
+        except ct.NotACographError as exc:  # every command's answer to a P4
+            print(f"NOT-COGRAPH {' '.join(exc.names)}")
+            code = 1
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except _CliError as exc:

@@ -35,9 +35,10 @@ class P4Witness(NamedTuple):
 
 
 class NotACographError(ValueError):
-    def __init__(self, witness: P4Witness):
+    def __init__(self, witness: P4Witness, names: tuple[str, ...]):
         super().__init__("not-a-cograph")
         self.witness = witness
+        self.names = names
 
 
 class NewickError(ValueError):
@@ -257,11 +258,12 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
 
 
 def _cotree_of(g: Graph) -> Cotree:
-    """The discriminating cotree of g, for the passes that take one; a P4
-    raises NotACographError carrying it."""
+    """The discriminating cotree of g, for every pass and command that takes
+    one; a P4 raises NotACographError carrying it and the graph's names."""
     t = build_cotree(g)
     if isinstance(t, P4Witness):
-        raise NotACographError(t)
+        names = g.vertex_names()
+        raise NotACographError(t, tuple(names[v] for v in t))
     return t
 
 
@@ -406,20 +408,15 @@ def to_binary(t: Cotree, strategy: str = "left-comb") -> Cotree:
 
 
 def align_to_graph(t: Cotree, g: Graph) -> Cotree:
-    """Remap leaf vertex ids so they refer to g's ids, matching by name."""
+    """The same tree with its leaves renamed to g's ids, matching by name."""
     tnames = t.vertex_names(g.n)
     if sorted(tnames) != sorted(g.vertex_names()):
         raise ValueError("cotree-graph-mismatch")
     gid = VertexIds(g.vertex_names())
     out = Cotree(names=g.names)
-    built: dict[int, int] = {}
-    for u in t.postorder():
-        if t.is_leaf(u):
-            built[u] = out.add_leaf(gid[tnames[t.vertex[u]]])
-        else:
-            built[u] = out.add_inner(t.label[u],
-                                     [built[c] for c in t.children[u]])
-    out.root = built[t.root]
+    out.label, out.children = t.label.copy(), t.children.copy()
+    out.vertex = [v if v < 0 else gid[tnames[v]] for v in t.vertex]
+    out.root = t.root
     return out
 
 

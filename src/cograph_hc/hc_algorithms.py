@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .graph import Graph
 from .cotree import Cotree, _cotree_of, _newick_spans, is_binary, \
-    node_chromatic_numbers, realizes
+    node_chromatic_numbers
 
 if TYPE_CHECKING:
     from .coloring import Coloring
@@ -120,14 +120,6 @@ def alg1_color(g: Graph,
     """Recursively minimal coloring along the discriminating cotree."""
     t = _cotree_of(g)
     return _recolor_top_down(t, chooser._images()), t
-
-
-def alg2_color(g: Graph, t: Cotree,
-               chooser: InjectionChooser = InjectionChooser()) -> Coloring:
-    """Recursively minimal coloring w.r.t. a user-supplied cotree of g."""
-    if not realizes(t, g):
-        raise ValueError("cotree-graph-mismatch")
-    return _recolor_top_down(t, chooser._images())
 
 
 # -- binary cotree reconstruction from an hc-colored cograph -------------------

@@ -210,6 +210,38 @@ def test_verify_with_cotree(files, capsys):
     assert "K3 violation" in out and "{c,d}" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["recognize"], ["cotree"], ["cotree", "--binary", "left-comb"],
+    ["color", "--method", "alg1"], ["verify", "c.txt"], ["count"]],
+    ids=["recognize", "cotree", "cotree-binary", "color", "verify", "count"])
+def test_every_command_answers_a_p4_with_one_line(files, capsys, monkeypatch,
+                                                  tmp_path, argv):
+    # every command that builds the cotree names the P4 a-b-c-d the same
+    # way; verify gets a proper coloring, so that the P4 is its only answer
+    monkeypatch.chdir(tmp_path)
+    files("p4.txt", P4_TEXT)
+    files("c.txt", COLORING_B)
+    assert main([argv[0], "p4.txt", *argv[1:]]) == 1
+    assert capsys.readouterr() == ("NOT-COGRAPH a b c d\n", "")
+
+
+@pytest.mark.parametrize("tree", [
+    "((x,y)1,z,w)0;\n",   # names the graph does not have
+    "((a,c)1,b,d)0;\n",   # the graph's names, another graph
+], ids=["other-names", "other-structure"])
+@pytest.mark.parametrize("argv", [["verify", "g.txt", "c.txt"],
+                                  ["count", "g.txt"]], ids=["verify", "count"])
+def test_a_tree_file_of_another_graph_is_one_error(files, capsys, monkeypatch,
+                                                   tmp_path, tree, argv):
+    monkeypatch.chdir(tmp_path)
+    files("g.txt", GRAPH)
+    files("c.txt", COLORING_A)
+    files("t.nwk", tree)
+    assert main([*argv, "--cotree", "t.nwk"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: t.nwk: cotree-graph-mismatch\n")
+
+
 def test_files_may_start_with_a_byte_order_mark(files, capsys):
     g = files("g.txt", "\ufeff" + GRAPH)
     cat = files("cat.nwk", "\ufeff" + CATERPILLAR)
@@ -403,6 +435,8 @@ def test_every_subcommand_runs_in_a_fresh_interpreter(tmp_path, monkeypatch,
     # there. Each process must give the expected exit code and match main()
     # run here: standard output and the files in the directory.
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "p4.txt").write_text(P4_TEXT, encoding="utf-8")
+    (tmp_path / "p4c.txt").write_text(COLORING_B, encoding="utf-8")
     commands = [
         (0, "gen", "--n", "30", "--seed", "4", "--graph-out", "g.txt",
          "--cotree-out", "t.nwk"),
@@ -416,6 +450,8 @@ def test_every_subcommand_runs_in_a_fresh_interpreter(tmp_path, monkeypatch,
         (0, "count", "g.txt"),
         (0, "count", "g.txt", "--cotree", "b.nwk"),
         (0, "cotree", "t.nwk", "--realize", "-o", "r.txt"),
+        (1, "verify", "p4.txt", "p4c.txt"),
+        (1, "count", "p4.txt"),
     ]
     outputs = []
     for code, *argv in commands:
@@ -433,6 +469,7 @@ def test_every_subcommand_runs_in_a_fresh_interpreter(tmp_path, monkeypatch,
     assert outputs[6] == "ACCEPT\n"
     assert outputs[7].startswith("K3 violation at node over ")
     assert outputs[8].splitlines()[-1].startswith("labeled_total ")
+    assert outputs[-2:] == ["NOT-COGRAPH a b c d\n"] * 2
     g, r = (read_edge_list((tmp_path / f).read_text())
             for f in ("g.txt", "r.txt"))
     assert (r.adj, r.vertex_names()) == (g.adj, g.vertex_names())

@@ -5,12 +5,13 @@ import tracemalloc
 
 import pytest
 
-from cograph_hc import (Cotree, GenParams, Graph, P4Witness, align_to_graph,
-                        build_cotree, chromatic_number, complement,
-                        is_binary, is_discriminating,
-                        make_discriminating, newick_read, newick_write,
-                        random_cograph, realized_graph, realizes, to_binary)
-from cograph_hc.cotree import LEAF, _find_p4_in
+from cograph_hc import (Cotree, GenParams, Graph, NotACographError,
+                        P4Witness, align_to_graph, build_cotree,
+                        chromatic_number, complement, is_binary,
+                        is_discriminating, make_discriminating, newick_read,
+                        newick_write, random_cograph, realized_graph,
+                        realizes, to_binary)
+from cograph_hc.cotree import LEAF, _cotree_of, _find_p4_in
 from cograph_hc.graph import bits
 from cograph_hc.oracle import find_induced_p4
 
@@ -28,6 +29,21 @@ def test_build_cotree_p4_witness():
     w = build_cotree(P4)
     assert isinstance(w, P4Witness)
     assert induces_p4(P4, w)
+
+
+@pytest.mark.parametrize("names", [("a", "b", "c", "d"), None])
+def test_not_a_cograph_error_names_the_witness(names):
+    # the path c-a-d-b, so that the witness is not in id order
+    g = Graph(4, [(2, 0), (0, 3), (3, 1)], names=names)
+    with pytest.raises(NotACographError) as info:
+        _cotree_of(g)
+    w = info.value.witness
+    assert induces_p4(g, w)
+    assert info.value.names == tuple(g.vertex_names()[v]
+                                     for v in w.as_tuple())
+    assert info.value.names in (("c", "a", "d", "b"), ("b", "d", "a", "c"),
+                                ("v2", "v0", "v3", "v1"),
+                                ("v1", "v3", "v0", "v2"))
 
 
 def test_every_p4_witness_on_5_vertices_induces_a_p4():
@@ -346,6 +362,15 @@ def test_align_to_graph(k2_k1_k1):
     t = newick_read("(c,d,(a,b)1)0;")
     at = align_to_graph(t, k2_k1_k1)
     assert realizes(at, k2_k1_k1)
+    # the same tree, node for node; only the leaves' vertex ids change
+    assert newick_write(at) == "(c,d,(a,b)1)0;"
+    assert (at.label, at.children, at.root) == (t.label, t.children, t.root)
+    assert at.names == k2_k1_k1.names
+    for u in range(t.n_nodes()):
+        if t.is_leaf(u):
+            assert at.names[at.vertex[u]] == t.names[t.vertex[u]]
+    at.label[at.root] = 1  # a copy: the tree read is unchanged
+    assert t.label[t.root] == 0
     with pytest.raises(ValueError, match="cotree-graph-mismatch"):
         align_to_graph(newick_read("(x,y)1;"), k2_k1_k1)
 

@@ -8,8 +8,8 @@ import pytest
 
 from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
                         NotACographError, NotHcColoringError, alg1_color,
-                        alg2_color, build_cotree, count_hc_total,
-                        count_hc_wrt, g_injections, is_hc_coloring,
+                        build_cotree, count_hc_total, count_hc_wrt,
+                        g_injections, is_discriminating, is_hc_coloring,
                         newick_read, random_cograph,
                         realized_graph, realizes, reconstruct_cotree,
                         to_binary, verify_hc)
@@ -75,22 +75,24 @@ def test_alg1_sound_on_small_corpus(small_cographs):
             assert len(set(c.values())) == brute_chromatic(g)
 
 
-def test_alg2_matches_alg1_on_discriminating_tree(k2_k1_k1):
-    t = build_cotree(k2_k1_k1)
-    assert alg2_color(k2_k1_k1, t) == alg1_color(k2_k1_k1)[0]
+def test_recolor_on_the_discriminating_tree_is_alg1(k2_k1_k1):
+    c, t = alg1_color(k2_k1_k1)
+    assert t == build_cotree(k2_k1_k1)
+    assert _recolor_top_down(t, InjectionChooser()._images()) == c
 
 
-def test_alg2_respects_given_cotree(k2_k1_k1):
+def test_recolor_respects_a_given_binary_cotree(k2_k1_k1):
+    # the left comb is not discriminating: its unions nest in unions
     cat = to_binary(build_cotree(k2_k1_k1), "left-comb")
-    c = alg2_color(k2_k1_k1, cat)
-    assert verify_hc(k2_k1_k1, cat, c).accepted
-    with pytest.raises(ValueError, match="cotree-graph-mismatch"):
-        alg2_color(k2_k1_k1, newick_read("((a,b)0,(c,d)0)0;"))
+    assert not is_discriminating(cat)
+    for chooser in (InjectionChooser(), InjectionChooser("seeded-random", 5)):
+        c = _recolor_top_down(cat, chooser._images())
+        assert verify_hc(k2_k1_k1, cat, c).accepted
 
 
-def test_alg2_join_rooted_skips_recoloring():
+def test_recolor_join_rooted_skips_recoloring():
     k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    c = alg2_color(k3, build_cotree(k3))
+    c = _recolor_top_down(build_cotree(k3), InjectionChooser()._images())
     assert c == {0: 1, 1: 2, 2: 3}
 
 
@@ -148,10 +150,9 @@ def leaf_list_recolor(g, t, run):
 
 
 def fast_recolor(g, t, run):
-    """alg2_color for a chooser, the palette pass for a plain images
-    function."""
+    """The palette pass, with a chooser's images function or a plain one."""
     if isinstance(run, InjectionChooser):
-        return alg2_color(g, t, run)
+        run = run._images()
     return _recolor_top_down(t, run)
 
 
