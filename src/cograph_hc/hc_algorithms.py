@@ -169,9 +169,11 @@ class CountReport:
     labeled_total: int
 
     def render(self) -> str:
-        lines = [f"node {nc.path} N {_decimal(nc.partitions)} s {nc.colors}"
+        # no count exceeds labeled_total, so str() serves unless it is long
+        dec = str if self.labeled_total.bit_length() <= 8192 else _decimal
+        lines = [f"node {nc.path} N {dec(nc.partitions)} s {nc.colors}"
                  for nc in self.per_node]
-        lines.append(f"labeled_total {_decimal(self.labeled_total)}")
+        lines.append(f"labeled_total {dec(self.labeled_total)}")
         return "\n".join(lines) + "\n"
 
     @property

@@ -17,9 +17,12 @@ raise instead of silently taking forever.
 
 `check_theorems` enumerates each instance once for all checks: the
 discriminating cotree, the binary cotrees, the proper partitions, greedy's
-output for every vertex order and each coloring's verdicts against every
-tree are shared through `_GraphCtx`. Nothing outlives the instance: no
-tree or table is kept at module level.
+output for every vertex order, each vertex set's chromatic number and each
+coloring's verdicts against every tree are shared through `_GraphCtx`. L2
+decides each distinct greedy coloring once, however many orders give it,
+and T-greedy-iff takes its hc-everywhere set from the partitions with chi
+classes, since K2 and K3 do not see color names. Nothing outlives the
+instance: no tree or table is kept at module level.
 """
 
 from __future__ import annotations
@@ -181,8 +184,12 @@ def all_min_colorings(g: Graph) -> list[Coloring]:
     order of their colors in vertex order."""
     if g.n > 7:
         raise ValueError("size-guard: all_min_colorings needs n <= 7")
+    return _all_min_colorings(g, brute_chromatic(g))
+
+
+def _all_min_colorings(g: Graph, k: int) -> list[Coloring]:
+    """All proper surjective colorings onto {1..k}, k = chi(g)."""
     n = g.n
-    k = brute_chromatic(g)
     earlier = [[u for u in bits(g.adj[v]) if u < v] for v in range(n)]
     assign = [0] * n
     out = []
@@ -353,15 +360,16 @@ class TheoremReport:
 
 
 def _greedy_run(g: Graph, order: tuple[int, ...]) -> tuple[int, ...]:
-    c = greedy_coloring(g, order)
-    return tuple(c[v] for v in range(g.n))
+    return tuple(map(greedy_coloring(g, order).__getitem__, range(g.n)))
 
 
 class _GraphCtx:
     """Lazily shared per-instance data for the theorem checks.
 
     Each enumeration (binary cotrees, proper partitions, greedy runs) runs
-    at most once per instance. The verdicts are a bitmask kernel of their
+    at most once per instance, and so does the brute-force chromatic number
+    of each vertex set (`chromatic`), which serves chi, L2's components and
+    the inner node masks. The verdicts are a bitmask kernel of their
     own: a labeled coloring c gets a subset table cs, where cs[S] is the
     color bitmask of vertex set S, built with one OR per entry. A (label,
     A, B) triple of the enumerated trees fails K2 at a join when cs[A] and
@@ -371,24 +379,33 @@ class _GraphCtx:
     when cs[mask] holds another number of colors than its brute-force
     chromatic number.
     Tables and answers are memoized on c's colors in vertex order, never
-    on its partition, so only identical questions are shared.
+    on its partition, so only identical questions are shared; T-greedy-iff
+    asks them once per partition with chi classes, not per renaming.
     """
 
     def __init__(self, g: Graph):
         self.g = g
-        self.is_cograph = g.n > 0 and find_induced_p4(g) is None
+        self.is_cograph = find_induced_p4(g) is None
         self._color_set_memo: dict[tuple[int, ...], list[int]] = {}
         self._verdict_memo: dict[tuple[int, ...], tuple[bool, ...]] = {}
         self._minimal_memo: dict[tuple[int, ...], bool] = {}
+        self._chromatic_memo: dict[int, int] = {}
 
     @cached_property
     def cotree(self) -> Cotree:
         """The discriminating cotree, which the fast-path passes run on."""
         return _cotree_of(self.g)
 
+    def chromatic(self, mask: int) -> int:
+        """The brute-force chromatic number of the subgraph on `mask`."""
+        memo = self._chromatic_memo
+        if mask not in memo:
+            memo[mask] = _chromatic(self.g.adj, mask)
+        return memo[mask]
+
     @cached_property
     def chi(self) -> int:
-        return brute_chromatic(self.g)
+        return self.chromatic((1 << self.g.n) - 1)
 
     @cached_property
     def index(self) -> _TreeIndex:
@@ -407,8 +424,9 @@ class _GraphCtx:
     def greedy_runs(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Per vertex order, in permutation order, greedy's colors in vertex
         order (every order, so for n <= 5 only)."""
-        return {order: _greedy_run(self.g, order)
-                for order in itertools.permutations(range(self.g.n))}
+        orders = list(itertools.permutations(range(self.g.n)))
+        return dict(zip(orders, map(_greedy_run, itertools.repeat(self.g),
+                                    orders)))
 
     def _color_sets(self, key: tuple[int, ...]) -> list[int]:
         """cs[S], the color bitmask of vertex set S, for every S."""
@@ -443,7 +461,7 @@ class _GraphCtx:
     @cached_property
     def node_chis(self) -> list[tuple[int, int, int]]:
         """(mask, bit, brute-force chromatic number) per inner node mask."""
-        return [(mask, bit, _chromatic(self.g.adj, mask))
+        return [(mask, bit, self.chromatic(mask))
                 for mask, bit in self.index.node_masks.items()]
 
     def recursively_minimal(self, c: Coloring) -> bool:
@@ -491,10 +509,12 @@ def check_theorems(corpus: list[Graph], theorems: list[str] | None = None,
     for idx, g in enumerate(corpus):
         rng = random.Random((seed << 32) + idx)  # per-instance stream
         ctx = _GraphCtx(g)
-        if not ctx.is_cograph:
+        why = ("empty-graph" if not g.n
+               else None if ctx.is_cograph else "not-a-cograph")
+        if why:
             for tid in theorems:
                 reports[tid].skipped += 1
-                reports[tid].notes.append(f"instance {idx}: not-a-cograph")
+                reports[tid].notes.append(f"instance {idx}: {why}")
             continue
         for tid in theorems:
             if g.n > _MAX_N[tid]:
@@ -528,15 +548,20 @@ def _check_l2(rep: TheoremReport, idx: int, ctx: _GraphCtx,
         runs = [(order, _greedy_run(g, order)) for order in orders]
         rep.notes.append(f"instance {idx}: sampled 200 orders")
     masks = _components(g.adj, (1 << g.n) - 1)
-    comps = [tuple(bits(m)) for m in masks]
-    comp_chi = [_chromatic(g.adj, m) for m in masks]
+    comps = [(tuple(bits(m)), set(range(1, ctx.chromatic(m) + 1)))
+             for m in masks]
+    faults: dict[tuple[int, ...], list] = {}  # per distinct coloring
     for order, flat in runs:
-        if len(set(flat)) != ctx.chi:
-            rep.counterexamples.append((idx, order, "gamma>chi"))
-            continue
-        for comp, k in zip(comps, comp_chi):
-            if {flat[v] for v in comp} != set(range(1, k + 1)):
-                rep.counterexamples.append((idx, order, comp))
+        bad = faults.get(flat)
+        if bad is None:
+            if len(set(flat)) != ctx.chi:
+                bad = ["gamma>chi"]
+            else:
+                bad = [comp for comp, want in comps
+                       if {flat[v] for v in comp} != want]
+            faults[flat] = bad
+        for f in bad:
+            rep.counterexamples.append((idx, order, f))
     rep.checked += 1
 
 
@@ -571,11 +596,11 @@ def _check_greedy_iff(rep: TheoremReport, idx: int, ctx: _GraphCtx,
     """
     g = ctx.g
     greedy_set = set(ctx.greedy_runs.values())
-    hc_parts = set()
-    for c in all_min_colorings(g):
-        flat = tuple(c[v] for v in range(g.n))
-        if all(ctx.verdicts(c)):
-            hc_parts.add(_partition_key(c, g.n))
+    # K2 and K3 do not see color names: decide each partition once
+    hc_parts = {_partition_key(c, g.n) for c in ctx.partitions
+                if max(c.values()) == ctx.chi and all(ctx.verdicts(c))}
+    for c in _all_min_colorings(g, ctx.chi):
+        flat = tuple(c.values())  # vertex order
         by_orders = flat in greedy_set
         by_witness = is_greedy(g, c)
         if by_orders != by_witness:

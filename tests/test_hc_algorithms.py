@@ -602,3 +602,33 @@ def test_exhaustive_outputs_match_replay_by_index(small_cographs):
         t = build_cotree(g)
         assert list(enumerate_alg1_outputs(t)) == \
             list(replayed_alg1_outputs(t))
+
+
+def reference_render(report):
+    """`CountReport.render` as it was: every count through `_decimal`."""
+    from cograph_hc.hc_algorithms import _decimal
+    lines = [f"node {nc.path} N {_decimal(nc.partitions)} s {nc.colors}"
+             for nc in report.per_node]
+    lines.append(f"labeled_total {_decimal(report.labeled_total)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_render_matches_the_decimal_reference(small_cographs):
+    # short counts render through str(), long ones through _decimal; a
+    # chain of 400 unions, each adding a K10 below a K20, has counts on both
+    # sides of the 8192-bit split and past str()'s 4300-digit limit
+    for g in small_cographs[::7]:
+        report = count_hc_total(g)
+        assert report.render() == reference_render(report)
+    t = Cotree()
+    top = t.add_inner(1, [t.add_leaf(v) for v in range(20)])
+    for i in range(400):
+        k10 = t.add_inner(1, [t.add_leaf(v) for v in range(20 + 10 * i,
+                                                          30 + 10 * i)])
+        top = t.add_inner(0, [top, k10])
+    t.root = top
+    report = _count(t)
+    sizes = {nc.partitions.bit_length() > 8192 for nc in report.per_node}
+    assert sizes == {False, True}
+    assert len(reference_render(report).rsplit(" ", 1)[1]) > 4301
+    assert report.render() == reference_render(report)

@@ -1,10 +1,11 @@
 import itertools
 import math
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
-from cograph_hc import (Graph, build_cotree, chromatic_number,
+from cograph_hc import (Cotree, Graph, build_cotree, chromatic_number,
                         exhaustive_cographs, newick_write)
 from cograph_hc import oracle
 
@@ -229,6 +230,14 @@ def test_check_theorems_skips_non_cographs():
         assert any("not-a-cograph" in note for note in rep.notes)
 
 
+def test_check_theorems_notes_the_empty_graph():
+    # the empty graph is skipped as empty, not as a non-cograph
+    for rep in oracle.check_theorems([Graph(0), P4, Graph(1)]):
+        assert (rep.checked, rep.skipped) == (1, 2)
+        assert rep.notes == ["instance 0: empty-graph",
+                             "instance 1: not-a-cograph"]
+
+
 def test_check_theorems_size_guards():
     # L3 and T-greedy-iff stop at n = 5, every other check at n = 6
     k6, k7 = (Graph(n, itertools.combinations(range(n), 2)) for n in (6, 7))
@@ -283,9 +292,9 @@ def test_report_render_contract():
 
 def test_sweep_runs_greedy_and_verify_hc_once_per_distinct_call(monkeypatch):
     # each instance's greedy runs are enumerated once and shared by every
-    # check that needs them, and so is its one discriminating cotree; the
-    # tree verdicts come from the oracle's own kernel, so verify_hc, which
-    # they are meant to check, is never called
+    # check that needs them, and so are its one discriminating cotree and
+    # its chromatic numbers; the tree verdicts come from the oracle's own
+    # kernel, so verify_hc, which they are meant to check, is never called
     import cograph_hc
     from cograph_hc import coloring, cotree, hc_algorithms
     corpus = [g for n in range(1, 5) for g in exhaustive_cographs(n)]
@@ -307,6 +316,21 @@ def test_sweep_runs_greedy_and_verify_hc_once_per_distinct_call(monkeypatch):
         verify_calls.append(args)
         return verify(*args, **kwargs)
 
+    min_colorings = {g: len(oracle.all_min_colorings(g)) for g in corpus}
+    witness_calls: Counter = Counter()
+    chromatic_calls: Counter = Counter()
+    witness, chromatic = oracle.is_greedy, oracle._chromatic
+
+    def counting_witness(g, c):
+        witness_calls[g] += 1
+        return witness(g, c)
+
+    def counting_chromatic(adj, mask):
+        chromatic_calls[adj, mask] += 1
+        return chromatic(adj, mask)
+
+    monkeypatch.setattr(oracle, "is_greedy", counting_witness)
+    monkeypatch.setattr(oracle, "_chromatic", counting_chromatic)
     monkeypatch.setattr(oracle, "greedy_coloring", counting_greedy)
     # the package first: it reads its exports from their home modules, so
     # patched second it would be restored to counting_verify
@@ -318,7 +342,11 @@ def test_sweep_runs_greedy_and_verify_hc_once_per_distinct_call(monkeypatch):
     reports = oracle.check_theorems(corpus)
     assert all(r.passed and r.checked == len(corpus) for r in reports)
     assert set(greedy_calls) == set(corpus)
-    assert all(k <= math.factorial(g.n) for g, k in greedy_calls.items())
+    assert all(k == math.factorial(g.n) for g, k in greedy_calls.items())
+    # is_greedy once per labeled minimum coloring, each chromatic number
+    # once per vertex set of an instance
+    assert witness_calls == min_colorings
+    assert max(chromatic_calls.values()) == 1
     assert set(tree_calls) == set(corpus)
     assert max(tree_calls.values()) == 1
     assert verify_calls == [] and not hasattr(oracle, "verify_hc")
@@ -412,3 +440,190 @@ def test_l2_draws_the_same_sampled_orders_at_n6(monkeypatch):
     assert rep.counterexamples == [
         (i, digits(order), kind if kind == "gamma>chi" else digits(kind))
         for i, order, kind in expected]
+
+
+def test_l2_pins_its_counterexamples_over_every_order_at_n5(small_cographs,
+                                                            monkeypatch):
+    # the n <= 5 twin of the test above: L2 runs every order, decides each
+    # distinct coloring once and still reports every failing order, in
+    # permutation order; the same planted fault pins the list
+    corpus = small_cographs[3::110]
+    greedy = oracle.greedy_coloring
+
+    def faulty(g, order):
+        c = greedy(g, order)
+        if tuple(order[:2]) == (0, 1):
+            c[order[-1]] = max(c.values()) + 1
+        return c
+
+    monkeypatch.setattr(oracle, "greedy_coloring", faulty)
+    rep, = oracle.check_theorems(corpus, ["L2"], seed=3)
+    assert [g.n for g in corpus] == [3, 5, 5, 5, 5]
+    assert (rep.checked, rep.skipped, rep.notes) == (5, 0, [])
+    expected = [(0, "012", "gamma>chi"), (1, "01234", "014"),
+                (1, "01243", "gamma>chi"), (1, "01324", "014"),
+                (1, "01342", "gamma>chi"), (1, "01423", "gamma>chi"),
+                (1, "01432", "gamma>chi"), (2, "01234", "gamma>chi"),
+                (2, "01243", "gamma>chi"), (2, "01324", "gamma>chi"),
+                (2, "01342", "gamma>chi"), (2, "01423", "gamma>chi"),
+                (2, "01432", "gamma>chi"), (3, "01234", "134"),
+                (3, "01243", "134"), (3, "01324", "134"),
+                (3, "01342", "gamma>chi"), (3, "01423", "134"),
+                (3, "01432", "gamma>chi"), (4, "01234", "01234"),
+                (4, "01243", "01234"), (4, "01324", "01234"),
+                (4, "01342", "gamma>chi"), (4, "01423", "01234"),
+                (4, "01432", "gamma>chi")]
+
+    def digits(s):
+        return tuple(map(int, s))
+
+    assert rep.counterexamples == [
+        (i, digits(order), kind if kind == "gamma>chi" else digits(kind))
+        for i, order, kind in expected]
+
+
+# -- the sweep's earlier checks, kept as a differential reference -------------
+# L2 decided every order's coloring afresh, T-greedy-iff ran the verdict
+# kernel on every labeled minimum coloring, and every chromatic number was a
+# fresh search. Each check of the sweep must report exactly what these did.
+
+def reference_greedy_run(g, order):
+    c = oracle.greedy_coloring(g, order)
+    return tuple(c[v] for v in range(g.n))
+
+
+class ReferenceCtx(oracle._GraphCtx):
+    @cached_property
+    def chi(self):
+        return oracle.brute_chromatic(self.g)
+
+    @cached_property
+    def greedy_runs(self):
+        return {order: reference_greedy_run(self.g, order)
+                for order in itertools.permutations(range(self.g.n))}
+
+    @cached_property
+    def node_chis(self):
+        return [(mask, bit, oracle._chromatic(self.g.adj, mask))
+                for mask, bit in self.index.node_masks.items()]
+
+
+def reference_check_l2(rep, idx, ctx, rng):
+    g = ctx.g
+    if g.n <= 5:
+        runs = ctx.greedy_runs.items()
+    else:
+        pool = list(range(g.n))
+        orders = [tuple(rng.sample(pool, g.n)) for _ in range(200)]
+        runs = [(order, reference_greedy_run(g, order)) for order in orders]
+        rep.notes.append(f"instance {idx}: sampled 200 orders")
+    masks = oracle._components(g.adj, (1 << g.n) - 1)
+    comps = [tuple(oracle.bits(m)) for m in masks]
+    comp_chi = [oracle._chromatic(g.adj, m) for m in masks]
+    for order, flat in runs:
+        if len(set(flat)) != ctx.chi:
+            rep.counterexamples.append((idx, order, "gamma>chi"))
+            continue
+        for comp, k in zip(comps, comp_chi):
+            if {flat[v] for v in comp} != set(range(1, k + 1)):
+                rep.counterexamples.append((idx, order, comp))
+    rep.checked += 1
+
+
+def reference_check_greedy_iff(rep, idx, ctx, rng):
+    g = ctx.g
+    greedy_set = set(ctx.greedy_runs.values())
+    hc_parts = set()
+    for c in oracle.all_min_colorings(g):
+        flat = tuple(c[v] for v in range(g.n))
+        if all(ctx.verdicts(c)):
+            hc_parts.add(oracle._partition_key(c, g.n))
+        by_orders = flat in greedy_set
+        by_witness = oracle.is_greedy(g, c)
+        if by_orders != by_witness:
+            rep.counterexamples.append(
+                (idx, flat, "orders", by_orders, "witness", by_witness))
+    greedy_parts = {oracle._partition_key(dict(enumerate(flat)), g.n)
+                    for flat in greedy_set}
+    for part in sorted(hc_parts - greedy_parts,
+                       key=lambda p: sorted(map(sorted, p))):
+        rep.counterexamples.append(
+            (idx, "hc-everywhere-not-greedy", sorted(map(sorted, part))))
+    for part in sorted(greedy_parts - hc_parts,
+                       key=lambda p: sorted(map(sorted, p))):
+        rep.counterexamples.append(
+            (idx, "greedy-not-hc-everywhere", sorted(map(sorted, part))))
+    rep.checked += 1
+
+
+def sweep_outcome(corpus, seed, theorems=None):
+    """Each report's line, counterexamples (trees as Newick), notes and
+    skip count."""
+    def plain(ce):
+        return tuple(newick_write(x) if isinstance(x, Cotree) else x
+                     for x in ce)
+
+    return [(r.render(), [plain(ce) for ce in r.counterexamples], r.notes,
+             r.skipped)
+            for r in oracle.check_theorems(corpus, theorems, seed=seed)]
+
+
+def reference_outcome(monkeypatch, corpus, seed, theorems=None):
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_GraphCtx", ReferenceCtx)
+        m.setitem(oracle._CHECKS, "L2", reference_check_l2)
+        m.setitem(oracle._CHECKS, "T-greedy-iff", reference_check_greedy_iff)
+        return sweep_outcome(corpus, seed, theorems)
+
+
+PAW_K1 = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_matches_the_reference_at_n5(small_cographs, monkeypatch, seed):
+    got = sweep_outcome(small_cographs, seed)
+    assert got == reference_outcome(monkeypatch, small_cographs, seed)
+    assert [r[0] for r in got if "PASS" not in r[0]] \
+        == ["THEOREM T-greedy-iff FAIL checked=535 counterexamples=120"]
+
+
+def test_sweep_matches_the_reference_at_n6_and_on_the_paw(monkeypatch):
+    corpus = list(exhaustive_cographs(6))[::25] + [PAW_K1]
+    want = reference_outcome(monkeypatch, corpus, 0)
+    assert sweep_outcome(corpus, 0) == want
+    assert len(corpus) == 222
+    assert want[1][2][:1] == ["instance 0: sampled 200 orders"]  # L2
+
+
+def plant_greedy_fault(monkeypatch):
+    greedy = oracle.greedy_coloring
+
+    def faulty(g, order):  # a fresh color for the last vertex of some orders
+        c = greedy(g, order)
+        if order[0] > order[-1]:
+            c[order[-1]] = max(c.values()) + 1
+        return c
+
+    monkeypatch.setattr(oracle, "greedy_coloring", faulty)
+
+
+def plant_witness_fault(monkeypatch):
+    witness = oracle.is_greedy
+    monkeypatch.setattr(oracle, "is_greedy",
+                        lambda g, c: witness(g, c) != (c[0] == 2))
+
+
+@pytest.mark.parametrize("plant", [plant_greedy_fault, plant_witness_fault])
+def test_sweep_matches_the_reference_under_a_planted_fault(small_cographs,
+                                                           monkeypatch,
+                                                           plant):
+    # the faults make each check report, so the counterexample lists are
+    # compared too, not only empty ones
+    corpus = small_cographs[::3] + list(exhaustive_cographs(6))[::250]
+    theorems = ["L2", "L3", "T-greedy-iff"]
+    plant(monkeypatch)
+    got = sweep_outcome(corpus, 5, theorems)
+    assert got == reference_outcome(monkeypatch, corpus, 5, theorems)
+    fails = {r[0].split()[1] for r in got if r[1]}
+    assert fails >= ({"L2", "L3", "T-greedy-iff"}
+                     if plant is plant_greedy_fault else {"T-greedy-iff"})
