@@ -162,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         while below:
             u = below.pop()
             below.extend(t.children[u])
-            if t.is_leaf(u):
+            if t.label[u] == ct.LEAF:
                 leaves.append(names[t.vertex[u]])
         leaves.sort()
         s1, s2 = (sorted(s) for s in verdict.sets)

@@ -168,7 +168,8 @@ def verify_hc(g: Graph, t: Cotree, c: Coloring,
         if label[u] == -1:
             masks[u] = bit[vertex[u]]
             continue
-        m1, m2 = (masks[ch] for ch in children[u])
+        a, b = children[u]
+        m1, m2 = masks[a], masks[b]
         masks[u] = m1 | m2
         if label[u] == 1:
             if m1 & m2:

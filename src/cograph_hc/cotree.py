@@ -14,10 +14,10 @@ interpreter recursion limit.
 from __future__ import annotations
 
 import re
-from itertools import filterfalse, islice
-from typing import NamedTuple
+from itertools import compress, filterfalse, islice
+from typing import Iterable, NamedTuple, Sequence
 
-from .graph import Graph, VertexIds, bits
+from .graph import Graph, VertexIds, bits, default_names
 
 LEAF = -1
 
@@ -58,6 +58,13 @@ class Cotree:
     `children[i]` is a tuple of node ids (`()` for a leaf), `vertex[i]` is
     the graph vertex id of a leaf (-1 for inner nodes). `names`, when
     present, maps vertex ids to display names.
+
+    Children are numbered before their parents. `build_cotree` numbers its
+    output in postorder, which `coloring._hc_refinement` and
+    `hc_algorithms.reconstruct_cotree` rely on. `build_cotree`,
+    `newick_read` and the binary refinements append to the arrays
+    directly; a tree from outside is built with `add_leaf` and
+    `add_inner`, the checked entry points.
 
     Nodes are only appended and `children` holds tuples, so the shape below
     `root` is fixed by the root and the node count. `postorder` is cached on
@@ -118,23 +125,23 @@ class Cotree:
 
     def leaf_masks(self) -> list[int]:
         """Per node, bitset of graph vertices below it."""
-        masks = [0] * self.n_nodes()
+        children, vertex = self.children, self.vertex
+        masks = [0] * len(children)
         for u in self.postorder():
-            if self.is_leaf(u):
-                masks[u] = 1 << self.vertex[u]
-            else:
+            kids = children[u]
+            if kids:
                 m = 0
-                for c in self.children[u]:
+                for c in kids:
                     m |= masks[c]
-                masks[u] = m
+            else:
+                m = 1 << vertex[u]
+            masks[u] = m
         return masks
 
     def vertex_names(self, n: int | None = None) -> tuple[str, ...]:
         if self.names is not None:
             return self.names
-        if n is None:
-            n = self.n_leaves()
-        return tuple(f"v{i}" for i in range(n))
+        return default_names(self.n_leaves() if n is None else n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cotree):
@@ -152,8 +159,9 @@ class Cotree:
 
 
 def is_binary(t: Cotree) -> bool:
-    return all(l == LEAF or len(c) == 2
-               for l, c in zip(t.label, t.children))
+    """True iff every inner node has two children: a leaf has none and an
+    inner node at least one, so every node has none or two."""
+    return set(map(len, t.children)) <= {0, 2}
 
 
 def _signature(t: Cotree) -> tuple:
@@ -190,12 +198,16 @@ def _find_p4_in(adj: tuple[int, ...], sub: int) -> P4Witness:
 def build_cotree(g: Graph) -> Cotree | P4Witness:
     """Discriminating cotree of g, or a verified P4 witness.
 
-    Vertices are inserted in id order as modules, each kept as (ext, mask):
-    its neighbors outside it and its vertices. Modules M and X are false
-    twins iff ext(M) == ext(X) and true twins iff ext(M)|M == ext(X)|X, so
-    one dict per key finds a twin; the pair merges into a union (0) or a
-    join (1) with ext(M) & ~X and M | X, and the merged module is looked
-    up again. A merge changes no other module's keys, so the dicts see
+    Vertices are inserted in id order as modules. A module M is kept as
+    ext(M), its neighbors outside it, and its closed key ext(M) | M, in
+    lists by module and as keys of two dicts: modules M and X are false
+    twins iff their exts are equal and true twins iff their closed keys
+    are. A false twin X misses ext(M), so the union keeps ext(M) and its
+    closed key is the two closed keys' OR; a true twin X lies inside
+    ext(M), so the join's ext is the two exts' AND (ext(M) minus X) and
+    its closed key is unchanged. X was the one module with the key that
+    the merge keeps, so the merged module is looked up again in the other
+    dict only. A merge changes no other module's keys, so the dicts see
     every twin pair. A same-label child is absorbed into its parent, the
     shorter child list appended to the longer.
 
@@ -211,20 +223,22 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
     label = [LEAF] * n  # work nodes: leaves 0..n-1, then inner nodes
     kids: list = [None] * n
     low = list(range(n))
-    live: dict[int, tuple[int, int]] = {}  # module -> (ext, mask)
+    ext = [0] * (2 * n)     # a live module's ext
+    closed = [0] * (2 * n)  # and its closed key ext | mask
     by_ext: dict[int, int] = {}     # ext -> module: false twins
     by_closed: dict[int, int] = {}  # ext | mask -> module: true twins
-    for u in range(n):
-        e, m = adj[u], 1 << u
-        while True:
-            x, lab = by_ext.get(e), 0
-            if x is None:
-                x, lab = by_closed.get(e | m), 1
-                if x is None:
-                    break
-            ex, mx = live.pop(x)
-            del by_ext[ex], by_closed[ex | mx]
-            e, m = e & ~mx, m | mx
+    for u, e in enumerate(adj):
+        c = e | 1 << u
+        x, lab = by_ext.pop(e, None), 0
+        if x is None:
+            x, lab = by_closed.pop(c, None), 1
+        while x is not None:
+            if lab:
+                del by_ext[ext[x]]
+                e &= ext[x]
+            else:
+                del by_closed[closed[x]]
+                c |= closed[x]
             if label[x] == lab and (label[u] != lab
                                     or len(kids[x]) > len(kids[u])):
                 u, x = x, u
@@ -234,21 +248,31 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
                 low.append(low[u])
                 u = len(label) - 1
             kids[u] += kids[x] if label[x] == lab else [x]
-            low[u] = min(low[u], low[x])
-        live[u] = (e, m)
-        by_ext[e] = by_closed[e | m] = u
-    if len(live) > 1:
-        return _find_p4_in(adj, _peel(adj, [low[x] for x in live]))
+            if low[x] < low[u]:
+                low[u] = low[x]
+            lab ^= 1  # the next twin, if any, is of the other kind
+            x = by_closed.pop(c, None) if lab else by_ext.pop(e, None)
+        ext[u], closed[u] = e, c
+        by_ext[e] = by_closed[c] = u
+    if len(by_ext) > 1:
+        return _find_p4_in(adj, _peel(adj, [low[x] for x in by_ext.values()]))
     t = Cotree(names=g.names)
-    out: list[int] = []
+    t_label, t_children, t_vertex = t.label, t.children, t.vertex
+    out: list[int] = []  # ids of the finished subtrees awaiting a parent
     work = [u]
     while work:
         u = work.pop()
         if u < 0:
             k = len(kids[~u])
-            out[-k:] = [t.add_inner(label[~u], out[-k:])]
+            t_children.append(tuple(out[-k:]))
+            out[-k:] = [len(t_label)]
+            t_label.append(label[~u])
+            t_vertex.append(-1)
         elif u < n:
-            out.append(t.add_leaf(u))
+            out.append(len(t_label))
+            t_label.append(LEAF)
+            t_children.append(())
+            t_vertex.append(u)
         else:
             kids[u].sort(key=low.__getitem__)
             work.append(~u)
@@ -296,8 +320,9 @@ def realized_graph(t: Cotree) -> Graph:
     A vertex's neighbor set is the OR, over its join ancestors u, of the
     leaves below u outside the child of u on the path to the vertex.
     """
-    n = t.n_leaves()
-    seen = sorted(t.vertex[u] for u in range(t.n_nodes()) if t.is_leaf(u))
+    label, children, vertex = t.label, t.children, t.vertex
+    seen = sorted(compress(vertex, map(LEAF.__eq__, label)))
+    n = len(seen)
     if seen != list(range(n)):
         raise ValueError("leaf vertex ids must be a bijection onto 0..n-1")
     adj = [0] * n
@@ -305,13 +330,16 @@ def realized_graph(t: Cotree) -> Graph:
     stack = [(t.root, 0)]
     while stack:
         u, nbrs = stack.pop()
-        if t.label[u] == LEAF:
-            adj[t.vertex[u]] = nbrs
-        elif t.label[u] == 1:
-            stack.extend((c, nbrs | (masks[u] ^ masks[c]))
-                         for c in t.children[u])
+        lab = label[u]
+        if lab == LEAF:
+            adj[vertex[u]] = nbrs
+        elif lab == 1:
+            m = masks[u]
+            for c in children[u]:
+                stack.append((c, nbrs | (m ^ masks[c])))
         else:
-            stack.extend((c, nbrs) for c in t.children[u])
+            for c in children[u]:
+                stack.append((c, nbrs))
     names = t.names
     if names is not None and len(names) != n:
         names = None
@@ -336,12 +364,12 @@ def chromatic_number(t: Cotree) -> int:
 
 def is_discriminating(t: Cotree) -> bool:
     """True iff adjacent inner nodes carry distinct labels."""
-    for u in range(t.n_nodes()):
-        if t.is_leaf(u):
-            continue
-        for c in t.children[u]:
-            if not t.is_leaf(c) and t.label[c] == t.label[u]:
-                return False
+    label = t.label
+    for lab, kids in zip(label, t.children):
+        if lab != LEAF:
+            for c in kids:
+                if label[c] == lab:
+                    return False
     return True
 
 
@@ -389,20 +417,50 @@ def to_binary(t: Cotree, strategy: str = "left-comb") -> Cotree:
     """
     if strategy not in ("left-comb", "chi-ascending"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    chi = node_chromatic_numbers(t)
+    order = t.children
+    if strategy == "chi-ascending":
+        chi = node_chromatic_numbers(t)
+        order = [sorted(kids, key=chi.__getitem__) if lab == 0 else kids
+                 for lab, kids in zip(t.label, order)]
+    return _combed(t, order, t.postorder(), left=True)
+
+
+def _combed(t: Cotree, order: Sequence[Sequence[int]], nodes: Iterable[int],
+            left: bool) -> Cotree:
+    """The binary refinement of t that turns each inner node u into a comb
+    over order[u], its children in comb order, visiting `nodes`, children
+    before parents. A left comb pairs the first two children and hangs each
+    next one on the right; a right comb pairs the last two and hangs each
+    earlier one on the left. Nodes are numbered in the order they are made.
+    """
     out = Cotree(names=t.names)
-    built: dict[int, int] = {}
-    for u in t.postorder():
-        if t.is_leaf(u):
-            built[u] = out.add_leaf(t.vertex[u])
-            continue
-        kids = list(t.children[u])
-        if strategy == "chi-ascending" and t.label[u] == 0:
-            kids.sort(key=lambda c: chi[c])
-        acc = built[kids[0]]
-        for c in kids[1:]:
-            acc = out.add_inner(t.label[u], [acc, built[c]])
-        built[u] = acc
+    label, vertex = t.label, t.vertex
+    out_label, out_children, out_vertex = out.label, out.children, out.vertex
+    built = [0] * len(label)  # per node of t, its top node in out
+    for u in nodes:
+        kids = order[u]
+        top = len(out_label)
+        if not kids:
+            out_label.append(LEAF)
+            out_children.append(())
+            out_vertex.append(vertex[u])
+        elif len(kids) == 2:
+            out_label.append(label[u])
+            out_children.append((built[kids[0]], built[kids[1]]))
+            out_vertex.append(-1)
+        else:
+            k = len(kids) - 1  # comb nodes
+            tops = [built[c] for c in kids]
+            if left:
+                out_children += zip([tops[0], *range(top, top + k - 1)],
+                                    tops[1:])
+            else:
+                out_children += zip(tops[-2::-1],
+                                    [tops[-1], *range(top, top + k - 1)])
+            out_label += [label[u]] * k
+            out_vertex += [-1] * k
+            top += k - 1
+        built[u] = top
     out.root = built[t.root]
     return out
 

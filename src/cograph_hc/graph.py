@@ -37,6 +37,11 @@ class VertexIds(dict):
         raise KeyError(tok)
 
 
+def default_names(n: int) -> tuple[str, ...]:
+    """The names of vertices 0..n-1 when none are given: v0, v1, ..."""
+    return tuple([f"v{i}" for i in range(n)])
+
+
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
@@ -78,7 +83,7 @@ class Graph:
     def vertex_names(self) -> tuple[str, ...]:
         if self.names is not None:
             return self.names
-        return tuple(f"v{i}" for i in range(self.n))
+        return default_names(self.n)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -274,7 +279,7 @@ def read_edge_list(text: str) -> Graph:
                     raise GraphFormatError(f"line {lineno + i}: duplicate names")
                 ids = VertexIds(names)
             else:  # the first edge line
-                ids = VertexIds([f"v{v}" for v in range(n)])
+                ids = VertexIds(default_names(n))
                 break
             i += 1
         if ids is not None:

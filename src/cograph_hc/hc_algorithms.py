@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .graph import Graph
-from .cotree import Cotree, _cotree_of, _newick_spans, is_binary, \
-    node_chromatic_numbers
+from .cotree import Cotree, _combed, _cotree_of, _newick_spans, \
+    is_binary, node_chromatic_numbers
 
 if TYPE_CHECKING:
     from .coloring import Coloring
@@ -137,15 +137,7 @@ def reconstruct_cotree(g: Graph, c: Coloring) -> Cotree:
     verdict, order = _hc_refinement(t, c)
     if not verdict:
         raise NotHcColoringError(verdict.sets)
-    out = Cotree(names=t.names)
-    built = [0] * len(order)
-    for u, kids in enumerate(order):  # a leaf has no comb nodes
-        acc = built[kids[-1]] if kids else out.add_leaf(t.vertex[u])
-        for k in reversed(kids[:-1]):
-            acc = out.add_inner(t.label[u], [built[k], acc])
-        built[u] = acc
-    out.root = built[t.root]
-    return out
+    return _combed(t, order, range(len(order)), left=False)
 
 
 # -- counting -------------------------------------------------------------------

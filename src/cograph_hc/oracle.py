@@ -387,6 +387,7 @@ class _GraphCtx:
         self.g = g
         self.is_cograph = find_induced_p4(g) is None
         self._color_set_memo: dict[tuple[int, ...], list[int]] = {}
+        self._failing_memo: dict[tuple[int, ...], int] = {}
         self._verdict_memo: dict[tuple[int, ...], tuple[bool, ...]] = {}
         self._minimal_memo: dict[tuple[int, ...], bool] = {}
         self._chromatic_memo: dict[int, int] = {}
@@ -439,11 +440,11 @@ class _GraphCtx:
             memo[key] = cs
         return memo[key]
 
-    def verdicts(self, c: Coloring) -> tuple[bool, ...]:
-        """Per enumerated tree, whether c satisfies K2 at its joins and K3
-        at its unions."""
-        memo = self._verdict_memo
-        key = tuple(c[v] for v in range(self.g.n))
+    def failing(self, key: tuple[int, ...]) -> int:
+        """The bits of the enumerated (label, A, B) triples that the
+        coloring with colors `key`, in vertex order, fails: K2 at a join,
+        K3 at a union."""
+        memo = self._failing_memo
         if key not in memo:
             cs = self._color_sets(key)
             failing = 0
@@ -454,6 +455,16 @@ class _GraphCtx:
                         failing |= bit
                 elif x | y not in (x, y):  # K3: a union's are nested
                     failing |= bit
+            memo[key] = failing
+        return memo[key]
+
+    def verdicts(self, c: Coloring) -> tuple[bool, ...]:
+        """Per enumerated tree, whether c satisfies K2 at its joins and K3
+        at its unions: whether its triple bits miss every failing one."""
+        memo = self._verdict_memo
+        key = tuple(c[v] for v in range(self.g.n))
+        if key not in memo:
+            failing = self.failing(key)
             memo[key] = tuple(not tb & failing
                               for tb in self.index.triple_bits)
         return memo[key]
@@ -567,12 +578,15 @@ def _check_l2(rep: TheoremReport, idx: int, ctx: _GraphCtx,
 
 def _check_l3(rep: TheoremReport, idx: int, ctx: _GraphCtx,
               rng: random.Random) -> None:
-    """Every greedy coloring is hc w.r.t. every binary cotree."""
+    """Every greedy coloring is hc w.r.t. every binary cotree: it fails no
+    enumerated triple. The failing trees are listed only when some triple
+    fails."""
     for flat in set(ctx.greedy_runs.values()):
-        verdicts = ctx.verdicts(dict(enumerate(flat)))
-        for i, accepted in enumerate(verdicts):
-            if not accepted:
-                rep.counterexamples.append((idx, flat, ctx.trees[i]))
+        failing = ctx.failing(flat)
+        if failing:
+            for tb, tree in zip(ctx.index.triple_bits, ctx.trees):
+                if tb & failing:
+                    rep.counterexamples.append((idx, flat, tree))
     rep.checked += 1
 
 

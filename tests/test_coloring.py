@@ -219,7 +219,9 @@ def test_is_hc_coloring_rejects_non_cograph():
 
 def test_is_hc_coloring_adds_no_node_to_any_tree(monkeypatch):
     # the verdict is one pass over the discriminating cotree: given that
-    # tree, is_hc_coloring adds no leaf and no inner node to any Cotree
+    # tree, is_hc_coloring makes no Cotree and adds no node to one; the
+    # tree builders of cotree.py append to the arrays directly, so only a
+    # new Cotree shows them
     g, _ = random_cograph(GenParams(n=60, seed=2))
     t = build_cotree(g)
     c, _ = alg1_color(g)
@@ -231,6 +233,13 @@ def test_is_hc_coloring_adds_no_node_to_any_tree(monkeypatch):
                         lambda self, v: added.append(v))
     monkeypatch.setattr(Cotree, "add_inner",
                         lambda self, label, kids: added.append(kids))
+    init = Cotree.__init__
+
+    def counted_init(self, names=None):
+        added.append("new")
+        init(self, names)
+
+    monkeypatch.setattr(Cotree, "__init__", counted_init)
     assert is_hc_coloring(g, c).accepted
     assert not is_hc_coloring(g, bad).accepted
     assert added == []

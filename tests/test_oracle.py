@@ -6,7 +6,7 @@ from functools import cached_property
 import pytest
 
 from cograph_hc import (Cotree, Graph, build_cotree, chromatic_number,
-                        exhaustive_cographs, newick_write)
+                        exhaustive_cographs, newick_write, verify_hc)
 from cograph_hc import oracle
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -482,6 +482,27 @@ def test_l2_pins_its_counterexamples_over_every_order_at_n5(small_cographs,
         for i, order, kind in expected]
 
 
+def test_l3_reports_each_tree_a_planted_coloring_fails(monkeypatch):
+    # L3 lists trees only when some enumerated triple fails; a planted
+    # non-greedy coloring must still be reported once per tree it fails,
+    # in the enumeration's order, and a greedy one not at all
+    g = Graph(4, [(0, 1)])  # an edge and two isolated vertices
+    # the isolated vertices colored 1 and 2 fail K3 where they are siblings
+    good, bad = (1, 2, 1, 1), (1, 2, 1, 2)
+    monkeypatch.setattr(oracle._GraphCtx, "greedy_runs",
+                        property(lambda self: {(0,): good, (1,): bad}))
+    rep, = oracle.check_theorems([g], ["L3"])
+    trees = oracle.all_binary_cotrees(g)
+    failed = [t for t in trees
+              if not verify_hc(g, t, dict(enumerate(bad))).accepted]
+    assert all(verify_hc(g, t, dict(enumerate(good))).accepted
+               for t in trees)
+    assert 0 < len(failed) < len(trees)
+    assert rep.checked == 1
+    assert [(i, flat, newick_write(t)) for i, flat, t in rep.counterexamples] \
+        == [(0, bad, newick_write(t)) for t in failed]
+
+
 # -- the sweep's earlier checks, kept as a differential reference -------------
 # L2 decided every order's coloring afresh, T-greedy-iff ran the verdict
 # kernel on every labeled minimum coloring, and every chromatic number was a
@@ -530,6 +551,15 @@ def reference_check_l2(rep, idx, ctx, rng):
     rep.checked += 1
 
 
+def reference_check_l3(rep, idx, ctx, rng):
+    for flat in set(ctx.greedy_runs.values()):
+        verdicts = ctx.verdicts(dict(enumerate(flat)))
+        for i, accepted in enumerate(verdicts):
+            if not accepted:
+                rep.counterexamples.append((idx, flat, ctx.trees[i]))
+    rep.checked += 1
+
+
 def reference_check_greedy_iff(rep, idx, ctx, rng):
     g = ctx.g
     greedy_set = set(ctx.greedy_runs.values())
@@ -572,6 +602,7 @@ def reference_outcome(monkeypatch, corpus, seed, theorems=None):
     with monkeypatch.context() as m:
         m.setattr(oracle, "_GraphCtx", ReferenceCtx)
         m.setitem(oracle._CHECKS, "L2", reference_check_l2)
+        m.setitem(oracle._CHECKS, "L3", reference_check_l3)
         m.setitem(oracle._CHECKS, "T-greedy-iff", reference_check_greedy_iff)
         return sweep_outcome(corpus, seed, theorems)
 
