@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import itertools
 import os
 import sys
@@ -205,7 +206,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         report = hca.count_hc_wrt(t)
     else:
         report = hca.count_hc_total(g)
-    sys.stdout.write(report.render())
+    _write_output(None, report._lines())
     return 0
 
 
@@ -315,9 +316,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _buffer_stdout() -> None:
+    """Put a buffered writer under standard output when its binary layer
+    is raw, as with `python -u` or PYTHONUNBUFFERED. The text layer ignores
+    a raw layer's short writes, so a reader that left in the middle of a
+    write went unreported; a buffered writer writes the rest or raises.
+    It gets its own file object over the same descriptor, which it does
+    not close."""
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        out.flush()
+        sys.stdout = open(out.fileno(), "w", 1 if out.isatty() else -1,
+                          out.encoding, out.errors, closefd=False)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _buffer_stdout()
     try:
         try:
             code = args.fn(args)

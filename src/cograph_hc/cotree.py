@@ -59,9 +59,11 @@ class Cotree:
     the graph vertex id of a leaf (-1 for inner nodes). `names`, when
     present, maps vertex ids to display names.
 
-    Children are numbered before their parents. `build_cotree` numbers its
-    output in postorder, which `coloring._hc_refinement` and
-    `hc_algorithms.reconstruct_cotree` rely on. `build_cotree`,
+    Children are numbered before their parents. `build_cotree` and
+    `newick_read` number their output in postorder with the root last,
+    which `coloring._hc_refinement` and `hc_algorithms.reconstruct_cotree`
+    rely on; they record it in `_numbered`, so `postorder` needs no walk
+    on their trees. `build_cotree`,
     `newick_read` and the binary refinements append to the arrays
     directly; a tree from outside is built with `add_leaf` and
     `add_inner`, the checked entry points.
@@ -73,7 +75,7 @@ class Cotree:
     """
 
     __slots__ = ("label", "children", "vertex", "root", "names",
-                 "_postorder")
+                 "_postorder", "_numbered")
 
     def __init__(self, names: tuple[str, ...] | None = None):
         self.label: list[int] = []
@@ -82,6 +84,7 @@ class Cotree:
         self.root = -1
         self.names = names
         self._postorder = ((-1, -1), ())  # ((root, node count), order)
+        self._numbered = 0  # node count a builder numbered in postorder
 
     def add_leaf(self, v: int) -> int:
         self.label.append(LEAF)
@@ -114,13 +117,17 @@ class Cotree:
         Cached until the root or the node count changes."""
         key = (self.root, len(self.label))
         if self._postorder[0] != key:
-            # parents first, last child first: reversed, this is the postorder
-            out, stack = [], [self.root]
-            while stack:
-                u = stack.pop()
-                out.append(u)
-                stack.extend(self.children[u])
-            self._postorder = (key, tuple(reversed(out)))
+            if self._numbered == key[1] == self.root + 1:
+                order = tuple(range(key[1]))  # numbered so, the root last
+            else:
+                # parents first, last child first: reversed, the postorder
+                out, stack = [], [self.root]
+                while stack:
+                    u = stack.pop()
+                    out.append(u)
+                    stack.extend(self.children[u])
+                order = tuple(reversed(out))
+            self._postorder = (key, order)
         return self._postorder[1]
 
     def leaf_masks(self) -> list[int]:
@@ -278,6 +285,7 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
             work.append(~u)
             work.extend(reversed(kids[u]))
     t.root = out[0]
+    t._numbered = len(t_label)
     return t
 
 
@@ -474,7 +482,7 @@ def align_to_graph(t: Cotree, g: Graph) -> Cotree:
     out = Cotree(names=g.names)
     out.label, out.children = t.label.copy(), t.children.copy()
     out.vertex = [v if v < 0 else gid[tnames[v]] for v in t.vertex]
-    out.root = t.root
+    out.root, out._numbered = t.root, t._numbered
     return out
 
 
@@ -604,6 +612,7 @@ def newick_read(s: str) -> Cotree:
         raise _newick_error(s, "parse-error: trailing input", i + 1)
     t.root = node
     t.names = tuple(ids)
+    t._numbered = len(label)
     return t
 
 

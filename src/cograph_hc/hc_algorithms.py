@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .graph import Graph
 from .cotree import Cotree, _combed, _cotree_of, _newick_spans, \
@@ -149,10 +149,46 @@ def g_injections(s1: int, s2: int) -> int:
     return math.perm(s2, s1)
 
 
-class NodeCount(NamedTuple):
-    path: str  # Newick serialization of the subtree
-    partitions: int  # hc-colorings up to color renaming
-    colors: int  # size of the color set used below this node
+class NodeCount:
+    """One node of a count: `partitions`, its hc-colorings up to color
+    renaming, `colors`, the size of the color set used below it, and
+    `path`, its subtree as Newick. The path is kept as the node's
+    [start, end) span of the report's one Newick text and sliced on each
+    access, so a report holds that text once, not a copy per node. Two
+    are equal when the three values are."""
+
+    __slots__ = ("_text", "_start", "_end", "_partitions", "_colors")
+
+    def __init__(self, text: str, start: int, end: int, partitions: int,
+                 colors: int):
+        self._text, self._start, self._end = text, start, end
+        self._partitions, self._colors = partitions, colors
+
+    @property
+    def path(self) -> str:
+        return self._text[self._start:self._end]
+
+    @property
+    def partitions(self) -> int:
+        return self._partitions
+
+    @property
+    def colors(self) -> int:
+        return self._colors
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NodeCount):
+            return NotImplemented
+        return (self._partitions == other._partitions
+                and self._colors == other._colors
+                and self.path == other.path)
+
+    def __hash__(self) -> int:
+        return hash((self.path, self._partitions, self._colors))
+
+    def __repr__(self) -> str:
+        return (f"NodeCount(path={self.path!r}, "
+                f"partitions={self._partitions!r}, colors={self._colors!r})")
 
 
 @dataclass(frozen=True)
@@ -161,12 +197,17 @@ class CountReport:
     labeled_total: int
 
     def render(self) -> str:
+        return "".join(self._lines())
+
+    def _lines(self) -> Iterator[str]:
+        """The rendered report a line at a time, each path read from its
+        span: the report is never held whole to be written out."""
         # no count exceeds labeled_total, so str() serves unless it is long
         dec = str if self.labeled_total.bit_length() <= 8192 else _decimal
-        lines = [f"node {nc.path} N {dec(nc.partitions)} s {nc.colors}"
-                 for nc in self.per_node]
-        lines.append(f"labeled_total {dec(self.labeled_total)}")
-        return "\n".join(lines) + "\n"
+        for nc in self.per_node:
+            yield (f"node {nc._text[nc._start:nc._end]} "
+                   f"N {dec(nc._partitions)} s {nc._colors}\n")
+        yield f"labeled_total {dec(self.labeled_total)}\n"
 
     @property
     def root_partitions(self) -> int:
@@ -192,8 +233,8 @@ def _count(t: Cotree) -> CountReport:
     holds the color set, of size s = size[best], and every other child c
     injects into it: count[best] times count[c] * g_injections(size[c], s)
     per other child. The labeled total names the root's colors:
-    count[root] * s!. Each node's path is its span of the tree's Newick
-    text, so a vertex name Newick cannot hold raises ValueError.
+    count[root] * s!. Each node keeps its span of the tree's Newick text,
+    written once, so a vertex name Newick cannot hold raises ValueError.
     """
     text, start, end = _newick_spans(t)
     count = [0] * t.n_nodes()
@@ -217,7 +258,7 @@ def _count(t: Cotree) -> CountReport:
                 if c != best:
                     n *= count[c] * g_injections(size[c], s)
             count[u], size[u] = n, s
-        per_node.append(NodeCount(text[start[u]:end[u]], count[u], size[u]))
+        per_node.append(NodeCount(text, start[u], end[u], count[u], size[u]))
     root = t.root
     return CountReport(tuple(per_node),
                        count[root] * math.factorial(size[root]))

@@ -19,6 +19,18 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(f"src/ lines: {size}")
 
 
+def reference_postorder(t):
+    """Reference: t's node ids below the root, children before parents,
+    left to right, by a walk over an explicit stack. `Cotree.postorder`
+    takes it from a cache that some builders set without a walk."""
+    out, stack = [], [t.root]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        stack.extend(t.children[u])
+    return tuple(reversed(out))
+
+
 @pytest.fixture(scope="session")
 def small_cographs():
     """All labeled cographs on 1..5 vertices (1+2+8+52+472 graphs)."""

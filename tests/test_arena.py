@@ -21,6 +21,7 @@ from cograph_hc.coloring import _check_domain, _hc_refinement
 from cograph_hc.cotree import (LEAF, _cotree_of, _find_p4_in, _peel,
                                node_chromatic_numbers)
 from cograph_hc.generator import exhaustive_cographs, random_cograph
+from conftest import reference_postorder
 
 
 # -- the replaced bodies ---------------------------------------------------------
@@ -146,7 +147,9 @@ def assert_builds_as_reference(g):
         return None
     assert arena(t) == arena(ref)
     assert_arena_invariants(t, g.n)
-    assert t.postorder() == tuple(range(t.n_nodes()))
+    # the ids are the postorder, which build_cotree sets without a walk
+    assert t.postorder() == reference_postorder(t) \
+        == tuple(range(t.n_nodes()))
     return t
 
 

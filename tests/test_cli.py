@@ -345,6 +345,41 @@ def test_broken_pipe_exits_2_with_one_line(files, capsys, monkeypatch,
         "error: standard output closed (broken pipe)\n")
 
 
+def _caterpillar_edge_list(path, n):
+    """Write the edge list of the depth-n caterpillar cotree, labels
+    alternating, to path; return the graph."""
+    from cograph_hc import Cotree, realized_graph
+    t = Cotree()
+    acc = t.add_leaf(n - 1)
+    for v in range(n - 2, -1, -1):
+        acc = t.add_inner(v % 2, [t.add_leaf(v), acc])
+    t.root = acc
+    g = realized_graph(t)
+    path.write_text(write_edge_list(g), encoding="utf-8")
+    return g
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "-u"])
+def test_a_reader_that_leaves_early_gets_exit_2_and_one_line(tmp_path,
+                                                             flags):
+    # `count` of a depth-1000 caterpillar writes 4 MB, more than a pipe
+    # holds, and the reader leaves after 100 bytes. Under -u the text layer
+    # wrote to the raw file and ignored its short write: exit 0, no line.
+    path = tmp_path / "cat.txt"
+    _caterpillar_edge_list(path, 1000)
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, *flags, "-m", "cograph_hc.cli",
+                             "count", str(path)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (
+        2, b"error: standard output closed (broken pipe)\n")
+
+
 def test_count_non_cograph(files, capsys):
     assert main(["count", files("p4.txt", P4_TEXT)]) == 1
     capsys.readouterr()
@@ -473,6 +508,37 @@ def test_every_subcommand_runs_in_a_fresh_interpreter(tmp_path, monkeypatch,
     g, r = (read_edge_list((tmp_path / f).read_text())
             for f in ("g.txt", "r.txt"))
     assert (r.adj, r.vertex_names()) == (g.adj, g.vertex_names())
+
+
+# Runs the CLI as `python -m cograph_hc.cli` does, with the arguments after
+# -c, and at exit prints to stderr its peak resident set in KiB, from its
+# own memory map.
+_RUN_AND_PEAK = (
+    "import atexit, re, runpy, sys\n"
+    "atexit.register(lambda: print(re.search(r'VmHWM:\\s*(\\d+)', open(\n"
+    "    '/proc/self/status').read())[1], file=sys.stderr))\n"
+    "runpy.run_module('cograph_hc.cli', run_name='__main__')\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_count_of_a_deep_caterpillar_peaks_in_bounded_memory(tmp_path):
+    # depth 2000: an 18.7 MB report. A copy of every node's subtree text,
+    # then the report rendered and encoded whole, peaked 56 MB above
+    # `recognize` of the same file; written a line at a time, under 1 MB.
+    from cograph_hc import count_hc_total
+    path, out = tmp_path / "cat.txt", tmp_path / "out.txt"
+    g = _caterpillar_edge_list(path, 2000)
+    peaks = []
+    for command in ("recognize", "count"):
+        with open(out, "wb") as stdout:
+            proc = subprocess.run([sys.executable, "-c", _RUN_AND_PEAK,
+                                   command, str(path)], env=_fresh_env(),
+                                  stdout=stdout, stderr=subprocess.PIPE,
+                                  text=True, check=True)
+        peaks.append(int(proc.stderr) / 1024)
+    assert peaks[1] - peaks[0] < 10, peaks
+    assert out.read_text(encoding="utf-8") == count_hc_total(g).render()
 
 
 def test_check_guards(capsys):
@@ -612,9 +678,13 @@ def test_fuzzed_files_never_escape_main(tmp_path):
     for seed, (name, commands) in enumerate(by_file.items()):
         original = paths[name].read_bytes()
         for data in _variants(original.decode(), seed):
+            # a fresh file per variant: truncating one that holds data can
+            # cost tens of milliseconds, more than the commands run here
+            paths[name].unlink()
             paths[name].write_bytes(data)
             for argv in commands:
                 run(argv, data)
+        paths[name].unlink()
         paths[name].write_bytes(original)
     assert time.perf_counter() - start < 10
 

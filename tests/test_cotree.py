@@ -14,6 +14,7 @@ from cograph_hc import (Cotree, GenParams, Graph, NotACographError,
 from cograph_hc.cotree import LEAF, _cotree_of, _find_p4_in
 from cograph_hc.graph import bits
 from cograph_hc.oracle import find_induced_p4
+from conftest import reference_postorder
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)], names=("a", "b", "c", "d"))
 
@@ -125,7 +126,8 @@ def arrays(t):
 def assert_same_tree(g):
     t, ref = build_cotree(g), top_down_cotree(g)
     assert arrays(t) == arrays(ref)
-    assert t.postorder() == tuple(range(t.n_nodes()))
+    assert t.postorder() == reference_postorder(t) \
+        == tuple(range(t.n_nodes()))
 
 
 def test_twin_merging_matches_top_down_on_all_graphs_up_to_5():
@@ -180,7 +182,8 @@ def test_deep_caterpillar_is_recognized_fast():
     t = build_cotree(g)
     elapsed = time.perf_counter() - start
     assert t == make_discriminating(tree)
-    assert t.postorder() == tuple(range(t.n_nodes()))
+    assert t.postorder() == reference_postorder(t) \
+        == tuple(range(t.n_nodes()))
     assert elapsed < 5
 
 
@@ -273,6 +276,26 @@ def test_postorder_is_a_cached_tuple_that_follows_the_tree():
     assert t.leaf_masks() == [0b1, 0b10, 0b11, 0b100, 0b111]
     t.root = a  # a new root over the same arena
     assert t.postorder() == (0,) and t.leaf_masks() == [1, 0, 0, 0, 0]
+
+
+def test_builders_number_in_postorder_and_the_walk_resumes_on_change(
+        k2_k1_k1):
+    # build_cotree and newick_read number their nodes in postorder, the
+    # root last, and align_to_graph keeps the numbering: postorder() is
+    # then the ids, with no walk. A node added or another root walks again.
+    built = build_cotree(k2_k1_k1)
+    read = newick_read("((a,(b,c)1)0,(d,e)1)0;")
+    aligned = align_to_graph(newick_read("(c,d,(a,b)1)0;"), k2_k1_k1)
+    for t in (built, read, aligned):
+        assert t._numbered == t.n_nodes() == t.root + 1
+        assert t.postorder() == reference_postorder(t) \
+            == tuple(range(t.n_nodes()))
+    t = read
+    t.root = t.add_inner(1, [t.add_leaf(5), t.root])
+    assert t.postorder() == reference_postorder(t) \
+        == (9, *range(9), 10)
+    t.root = 4
+    assert t.postorder() == reference_postorder(t) == (0, 1, 2, 3, 4)
 
 
 def test_chromatic_number(k2_k1_k1):

@@ -10,7 +10,7 @@ from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
                         NotACographError, NotHcColoringError, alg1_color,
                         build_cotree, count_hc_total, count_hc_wrt,
                         g_injections, is_discriminating, is_hc_coloring,
-                        newick_read, random_cograph,
+                        newick_read, newick_write, random_cograph,
                         realized_graph, realizes, reconstruct_cotree,
                         to_binary, verify_hc)
 from cograph_hc.cotree import align_to_graph
@@ -282,12 +282,15 @@ def test_choice_space_matches_the_count(small_cographs):
     assert trees == 1070
 
 
-def caterpillar(n):
-    """Leaves 0..n-1, one per level, labels alternating."""
-    t = Cotree()
+def caterpillar(n, left=False, names=None):
+    """Leaves 0..n-1, one per level, labels alternating: the spine is each
+    node's right child, `(0,(1,...)1)0`, or with `left` its left child,
+    the left comb `((...,1)1,0)0`."""
+    t = Cotree(names=names)
     acc = t.add_leaf(n - 1)
     for v in range(n - 2, -1, -1):
-        acc = t.add_inner(v % 2, [t.add_leaf(v), acc])
+        leaf = t.add_leaf(v)
+        acc = t.add_inner(v % 2, [acc, leaf] if left else [leaf, acc])
     t.root = acc
     return t
 
@@ -632,3 +635,49 @@ def test_render_matches_the_decimal_reference(small_cographs):
     assert sizes == {False, True}
     assert len(reference_render(report).rsplit(" ", 1)[1]) > 4301
     assert report.render() == reference_render(report)
+
+
+# -- each node's path is a span of the report's one Newick text -----------------
+
+@pytest.mark.parametrize("left", [False, True], ids=["caterpillar",
+                                                     "left-comb"])
+def test_counts_and_render_match_references_at_depth_2000(left):
+    t = caterpillar(2000, left, names=tuple(f"x{v}" for v in range(2000)))
+    g = realized_graph(t)
+    for report, reference in ((count_hc_wrt(t), reference_count_wrt(t)),
+                              (count_hc_total(g), reference_count_total(g))):
+        assert triples(report) == reference
+        assert report.render() == reference_render(report)
+
+
+def test_two_counts_of_one_tree_compare_equal(k2_k1_k1):
+    cat = to_binary(build_cotree(k2_k1_k1), "left-comb")
+    a, b = count_hc_wrt(cat), count_hc_wrt(cat)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.per_node[2] == b.per_node[2]
+    assert a.per_node[2] is not b.per_node[2]
+    assert a != count_hc_wrt(to_binary(build_cotree(k2_k1_k1),
+                                       "chi-ascending"))
+    # equal by path and counts, not by span: the node (a,b)1 spans other
+    # characters of another tree's text
+    other = count_hc_wrt(align_to_graph(newick_read("((c,d)0,(a,b)1)0;"),
+                                        k2_k1_k1))
+    [ab] = [nc for nc in other.per_node if nc.path == "(a,b)1"]
+    assert ab == a.per_node[2] and hash(ab) == hash(a.per_node[2])
+    assert repr(ab) == "NodeCount(path='(a,b)1', partitions=1, colors=2)"
+    assert not isinstance(ab, tuple)
+
+
+def test_a_count_holds_one_newick_text_not_a_copy_per_node():
+    # depth 4000: a copy of every node's subtree text kept 74.1 MB
+    t = caterpillar(4000)
+    t.postorder()  # walked before the count is traced
+    tracemalloc.start()
+    try:
+        report = count_hc_wrt(t)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 12 << 20
+    assert len(report.per_node) == 7999
+    assert report.per_node[-1].path + ";" == newick_write(t)

@@ -9,6 +9,7 @@ from cograph_hc import (Cotree, GenParams, Graph, NewickError, build_cotree,
                         exhaustive_cographs, make_discriminating, newick_read,
                         newick_write, random_cograph)
 from cograph_hc.oracle import all_binary_cotrees
+from conftest import reference_postorder
 
 _NAME = re.compile(r"[^(),;\s]+")
 _SPACE = re.compile(r"\s*")
@@ -223,6 +224,8 @@ def assert_same_outcome(text):
     else:
         assert isinstance(got, Cotree), (text, got)
         assert same_tree(got, want), text
+        # the ids are the postorder, which newick_read sets without a walk
+        assert got.postorder() == reference_postorder(got), text
 
 
 def test_reader_matches_reference_on_every_cotree_up_to_5():
