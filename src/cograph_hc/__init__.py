@@ -12,14 +12,12 @@ __all__ = [
     "Graph", "GraphFormatError", "complement", "read_edge_list",
     "write_edge_list",
     "Cotree", "NewickError", "NotACographError", "P4Witness",
-    "align_to_graph", "build_cotree", "chromatic_number", "is_binary",
-    "is_discriminating", "make_discriminating", "newick_read", "newick_write",
-    "realized_graph", "realizes", "to_binary",
+    "align_to_graph", "build_cotree", "is_binary", "make_discriminating",
+    "newick_read", "newick_write", "realized_graph", "realizes", "to_binary",
     "Coloring", "Verdict", "greedy_coloring", "is_greedy", "is_hc_coloring",
     "is_proper", "read_coloring", "verify_hc", "write_coloring",
     "CountReport", "InjectionChooser", "NodeCount", "NotHcColoringError",
-    "alg1_color", "count_hc_total", "count_hc_wrt", "g_injections",
-    "reconstruct_cotree",
+    "alg1_color", "count_hc_total", "count_hc_wrt", "reconstruct_cotree",
     "GenParams", "exhaustive_cographs", "random_cograph",
 ]
 
@@ -33,16 +31,15 @@ _HOME = {name: module for module, names in [
     ("graph", ("Graph", "GraphFormatError", "complement", "read_edge_list",
                "write_edge_list")),
     ("cotree", ("Cotree", "NewickError", "NotACographError", "P4Witness",
-                "align_to_graph", "build_cotree", "chromatic_number",
-                "is_binary", "is_discriminating", "make_discriminating",
-                "newick_read", "newick_write", "realized_graph", "realizes",
-                "to_binary")),
+                "align_to_graph", "build_cotree", "is_binary",
+                "make_discriminating", "newick_read", "newick_write",
+                "realized_graph", "realizes", "to_binary")),
     ("coloring", ("Coloring", "Verdict", "greedy_coloring", "is_greedy",
                   "is_hc_coloring", "is_proper", "read_coloring", "verify_hc",
                   "write_coloring")),
     ("hc_algorithms", ("CountReport", "InjectionChooser", "NodeCount",
                        "NotHcColoringError", "alg1_color", "count_hc_total",
-                       "count_hc_wrt", "g_injections", "reconstruct_cotree")),
+                       "count_hc_wrt", "reconstruct_cotree")),
     ("generator", ("GenParams", "exhaustive_cographs", "random_cograph")),
 ] for name in names}
 

@@ -349,9 +349,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # The reader of stdout has gone. Send what is left to os.devnull,
-        # so that the interpreter's final flush cannot raise again.
-        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        # The reader of stdout has gone. Point its descriptor at os.devnull,
+        # so that the interpreter's final flush cannot raise again; no new
+        # file object is left open for the exit to warn about.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print("error: standard output closed (broken pipe)", file=sys.stderr)
         return 2
 

@@ -195,8 +195,7 @@ def verify_hc(g: Graph, t: Cotree, c: Coloring,
 
 def _hc_refinement(t: Cotree, c: Coloring) -> tuple[Verdict, list]:
     """Whether c is hc w.r.t. some binary refinement of the discriminating
-    cotree t (nodes numbered in postorder, as `build_cotree` numbers them),
-    and per node its children in comb order.
+    cotree t, and per node its children in comb order.
 
     One bottom-up pass with color bitmasks: a join becomes a right comb in
     child order, a union one in stable ascending order of color-set size.

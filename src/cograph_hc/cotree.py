@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import re
 from itertools import compress, filterfalse, islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .graph import Graph, VertexIds, bits, default_names
+from .graph import Graph, VertexIds, default_names
 
 LEAF = -1
 
@@ -59,23 +59,18 @@ class Cotree:
     the graph vertex id of a leaf (-1 for inner nodes). `names`, when
     present, maps vertex ids to display names.
 
-    Children are numbered before their parents. `build_cotree` and
-    `newick_read` number their output in postorder with the root last,
-    which `coloring._hc_refinement` and `hc_algorithms.reconstruct_cotree`
-    rely on; they record it in `_numbered`, so `postorder` needs no walk
-    on their trees. `build_cotree`,
-    `newick_read` and the binary refinements append to the arrays
-    directly; a tree from outside is built with `add_leaf` and
-    `add_inner`, the checked entry points.
-
-    Nodes are only appended and `children` holds tuples, so the shape below
-    `root` is fixed by the root and the node count. `postorder` is cached on
-    that pair. `leaf_masks` is not: its masks take up to n bits per node,
-    more than the tree itself, so they are not kept with every tree.
+    The one invariant: node ids are a postorder, children left to right,
+    and the root is the last node. Every pass is a loop over the ids, up
+    for bottom-up and down for top-down, and two trees of the same shape
+    have the same arrays. Every builder emits this order: `build_cotree`,
+    `newick_read` and `_emitted` append to the arrays as they finish
+    each node, and a tree from outside is built with `add_leaf` and
+    `add_inner`, which refuse children other than the subtrees finished
+    last, in order. `leaf_masks` is not kept with the tree: its masks take
+    up to n bits per node, more than the tree itself.
     """
 
-    __slots__ = ("label", "children", "vertex", "root", "names",
-                 "_postorder", "_numbered")
+    __slots__ = ("label", "children", "vertex", "root", "names")
 
     def __init__(self, names: tuple[str, ...] | None = None):
         self.label: list[int] = []
@@ -83,8 +78,6 @@ class Cotree:
         self.vertex: list[int] = []
         self.root = -1
         self.names = names
-        self._postorder = ((-1, -1), ())  # ((root, node count), order)
-        self._numbered = 0  # node count a builder numbered in postorder
 
     def add_leaf(self, v: int) -> int:
         self.label.append(LEAF)
@@ -93,14 +86,29 @@ class Cotree:
         return len(self.label) - 1
 
     def add_inner(self, label: int, kids: list[int]) -> int:
+        """A new node over `kids`, which must be the subtrees finished
+        last, in order: the last kid is the last node, and each other kid
+        the node just before the first node of the next kid's subtree."""
         if label not in (0, 1):
             raise ValueError("inner label must be 0 or 1")
         if len(kids) < 2:
             raise ValueError("inner node needs at least 2 children")
-        self.label.append(label)
-        self.children.append(tuple(kids))
-        self.vertex.append(-1)
-        return len(self.label) - 1
+        children = self.children
+        at = len(children) - 1  # the root of the subtree finished last
+        for c in kids[:0:-1]:  # every kid but the first, last first
+            if c != at or at < 0:
+                break
+            while children[at]:  # down to the first node of c's subtree
+                at = children[at][0]
+            at -= 1  # the root of the subtree finished before c's
+        else:
+            if kids[0] == at >= 0:
+                self.label.append(label)
+                children.append(tuple(kids))
+                self.vertex.append(-1)
+                return len(children) - 1
+        raise ValueError("children must be the subtrees finished last, "
+                         "in order")
 
     def is_leaf(self, u: int) -> bool:
         return self.label[u] == LEAF
@@ -111,24 +119,9 @@ class Cotree:
     def n_leaves(self) -> int:
         return self.label.count(LEAF)
 
-    def postorder(self) -> tuple[int, ...]:
-        """Node ids below the root, children before parents, left to right.
-
-        Cached until the root or the node count changes."""
-        key = (self.root, len(self.label))
-        if self._postorder[0] != key:
-            if self._numbered == key[1] == self.root + 1:
-                order = tuple(range(key[1]))  # numbered so, the root last
-            else:
-                # parents first, last child first: reversed, the postorder
-                out, stack = [], [self.root]
-                while stack:
-                    u = stack.pop()
-                    out.append(u)
-                    stack.extend(self.children[u])
-                order = tuple(reversed(out))
-            self._postorder = (key, order)
-        return self._postorder[1]
+    def postorder(self) -> range:
+        """Node ids, children before parents, left to right: the ids."""
+        return range(len(self.label))
 
     def leaf_masks(self) -> list[int]:
         """Per node, bitset of graph vertices below it."""
@@ -153,10 +146,13 @@ class Cotree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cotree):
             return NotImplemented
-        return _signature(self) == _signature(other)
+        return (self.root == other.root and self.label == other.label
+                and self.vertex == other.vertex
+                and self.children == other.children)
 
     def __hash__(self) -> int:
-        return hash(_signature(self))
+        return hash((self.root, tuple(self.label), tuple(self.vertex),
+                     tuple(self.children)))
 
     def __repr__(self) -> str:
         try:
@@ -171,14 +167,6 @@ def is_binary(t: Cotree) -> bool:
     return set(map(len, t.children)) <= {0, 2}
 
 
-def _signature(t: Cotree) -> tuple:
-    """Structural signature used for equality: (label, vertex, arity) in
-    postorder, which fixes the tree with its child order. It is flat, so
-    deep trees compare without recursion."""
-    return tuple((t.label[u], t.vertex[u], len(t.children[u]))
-                 for u in t.postorder())
-
-
 # -- recognition -----------------------------------------------------------
 
 def _find_p4_in(adj: tuple[int, ...], sub: int) -> P4Witness:
@@ -186,16 +174,28 @@ def _find_p4_in(adj: tuple[int, ...], sub: int) -> P4Witness:
 
     For an edge b-c, A = N(b) minus N[c] and D = N(c) minus N[b] inside the
     subset; any a in A with a non-neighbor d in D gives the path a-b-c-d.
+    Vertices are taken as their bits, lowest first, peeled off in place:
+    this runs for every rejected graph, and on small ones a `bits`
+    generator per set took half its time.
     """
-    for b in bits(sub):
+    rest_b = sub
+    while rest_b:
+        bit_b = rest_b & -rest_b
+        rest_b ^= bit_b
+        b = bit_b.bit_length() - 1
         nb = adj[b] & sub
-        for c in bits(nb):
+        rest_c = nb
+        while rest_c:
+            bit_c = rest_c & -rest_c
+            rest_c ^= bit_c
+            c = bit_c.bit_length() - 1
             nc = adj[c] & sub
-            ends_a = nb & ~nc & ~(1 << c)
-            ends_d = nc & ~nb & ~(1 << b)
-            if not ends_d:
-                continue
-            for a in bits(ends_a):
+            ends_a = nb & ~nc & ~bit_c
+            ends_d = nc & ~nb & ~bit_b
+            while ends_a and ends_d:
+                bit_a = ends_a & -ends_a
+                ends_a ^= bit_a
+                a = bit_a.bit_length() - 1
                 miss = ends_d & ~adj[a]
                 if miss:
                     return P4Witness(a, b, c, (miss & -miss).bit_length() - 1)
@@ -263,30 +263,7 @@ def build_cotree(g: Graph) -> Cotree | P4Witness:
         by_ext[e] = by_closed[c] = u
     if len(by_ext) > 1:
         return _find_p4_in(adj, _peel(adj, [low[x] for x in by_ext.values()]))
-    t = Cotree(names=g.names)
-    t_label, t_children, t_vertex = t.label, t.children, t.vertex
-    out: list[int] = []  # ids of the finished subtrees awaiting a parent
-    work = [u]
-    while work:
-        u = work.pop()
-        if u < 0:
-            k = len(kids[~u])
-            t_children.append(tuple(out[-k:]))
-            out[-k:] = [len(t_label)]
-            t_label.append(label[~u])
-            t_vertex.append(-1)
-        elif u < n:
-            out.append(len(t_label))
-            t_label.append(LEAF)
-            t_children.append(())
-            t_vertex.append(u)
-        else:
-            kids[u].sort(key=low.__getitem__)
-            work.append(~u)
-            work.extend(reversed(kids[u]))
-    t.root = out[0]
-    t._numbered = len(t_label)
-    return t
+    return _emitted(label, kids, range(n), u, g.names, low=low)
 
 
 def _cotree_of(g: Graph) -> Cotree:
@@ -364,56 +341,28 @@ def node_chromatic_numbers(t: Cotree) -> list[int]:
     return chi
 
 
-def chromatic_number(t: Cotree) -> int:
-    return node_chromatic_numbers(t)[t.root]
-
-
 # -- normal forms -----------------------------------------------------------
-
-def is_discriminating(t: Cotree) -> bool:
-    """True iff adjacent inner nodes carry distinct labels."""
-    label = t.label
-    for lab, kids in zip(label, t.children):
-        if lab != LEAF:
-            for c in kids:
-                if label[c] == lab:
-                    return False
-    return True
-
 
 def make_discriminating(t: Cotree) -> Cotree:
     """Contract every inner edge with equal labels; canonical child order.
 
-    A top-down pass maps each node to the kept node it is contracted into;
-    kept nodes are built in postorder, children by smallest vertex."""
-    order = t.postorder()
-    label, children = t.label, t.children
-    low = [0] * t.n_nodes()  # smallest vertex below each node
-    for u in order:
-        low[u] = (t.vertex[u] if label[u] == LEAF
-                  else min(low[c] for c in children[u]))
-    into = {t.root: t.root}  # node -> the kept node it is contracted into
-    kids: dict[int, list[int]] = {t.root: []}  # kept node -> kept children
-    for u in reversed(order):
+    A top-down pass hands each kept node to the kept node its parent is
+    contracted into; the kept nodes are emitted, children by smallest
+    vertex."""
+    label, children, vertex = t.label, t.children, t.vertex
+    low = vertex.copy()  # smallest vertex below each node
+    for u, kids in enumerate(children):
+        if kids:
+            low[u] = min(low[c] for c in kids)
+    into = list(range(len(label)))  # node -> the kept node it joins
+    order: list[list[int]] = [[] for _ in label]  # kept node -> kept children
+    for u in reversed(range(len(label))):
         for c in children[u]:
             if label[c] == label[u]:
                 into[c] = into[u]
             else:
-                into[c] = c
-                kids[c] = []
-                kids[into[u]].append(c)
-    out = Cotree(names=t.names)
-    built: dict[int, int] = {}
-    for u in order:
-        if u not in kids:
-            continue
-        if label[u] == LEAF:
-            built[u] = out.add_leaf(t.vertex[u])
-        else:
-            kids[u].sort(key=low.__getitem__)
-            built[u] = out.add_inner(label[u], [built[x] for x in kids[u]])
-    out.root = built[t.root]
-    return out
+                order[into[u]].append(c)
+    return _emitted(label, order, vertex, t.root, t.names, low=low)
 
 
 def to_binary(t: Cotree, strategy: str = "left-comb") -> Cotree:
@@ -430,47 +379,64 @@ def to_binary(t: Cotree, strategy: str = "left-comb") -> Cotree:
         chi = node_chromatic_numbers(t)
         order = [sorted(kids, key=chi.__getitem__) if lab == 0 else kids
                  for lab, kids in zip(t.label, order)]
-    return _combed(t, order, t.postorder(), left=True)
+    return _emitted(t.label, order, t.vertex, t.root, t.names, comb="left")
 
 
-def _combed(t: Cotree, order: Sequence[Sequence[int]], nodes: Iterable[int],
-            left: bool) -> Cotree:
-    """The binary refinement of t that turns each inner node u into a comb
-    over order[u], its children in comb order, visiting `nodes`, children
-    before parents. A left comb pairs the first two children and hangs each
-    next one on the right; a right comb pairs the last two and hangs each
-    earlier one on the left. Nodes are numbered in the order they are made.
+def _emitted(label: Sequence[int], order: Sequence, vertex: Sequence[int],
+             root: int, names: tuple[str, ...] | None,
+             comb: str | None = None,
+             low: Sequence[int] | None = None) -> Cotree:
+    """The tree below `root` in which a node u with children order[u]
+    (sorted in place by `low` when it is given) is an inner node labeled
+    label[u], and a node without is the leaf of vertex[u]. One walk over
+    an explicit stack numbers the nodes as it finishes them, so in
+    postorder. An inner node with more than two children stays one node,
+    or with `comb` becomes a caterpillar of binary nodes: a left comb
+    pairs the first two children and hangs each next one on the right, a
+    right comb pairs the last two and hangs each earlier one on the left.
     """
-    out = Cotree(names=t.names)
-    label, vertex = t.label, t.vertex
-    out_label, out_children, out_vertex = out.label, out.children, out.vertex
-    built = [0] * len(label)  # per node of t, its top node in out
-    for u in nodes:
-        kids = order[u]
-        top = len(out_label)
-        if not kids:
-            out_label.append(LEAF)
-            out_children.append(())
-            out_vertex.append(vertex[u])
-        elif len(kids) == 2:
-            out_label.append(label[u])
-            out_children.append((built[kids[0]], built[kids[1]]))
-            out_vertex.append(-1)
-        else:
-            k = len(kids) - 1  # comb nodes
-            tops = [built[c] for c in kids]
-            if left:
-                out_children += zip([tops[0], *range(top, top + k - 1)],
-                                    tops[1:])
+    t = Cotree(names)
+    t_label, t_children, t_vertex = t.label, t.children, t.vertex
+    left, right = comb == "left", comb == "right"
+    arity = 2 if comb else 0  # children of a finished node, 0: all of them
+    out: list[int] = []  # ids of the finished subtrees awaiting a parent
+    work = [root]  # u: emit u's subtree; ~u: finish a node of u
+    while work:
+        u = work.pop()
+        if u < 0:
+            k = arity or len(order[~u])
+            if k == 2:
+                b = out.pop()
+                t_children.append((out[-1], b))
+                out[-1] = len(t_label)
             else:
-                out_children += zip(tops[-2::-1],
-                                    [tops[-1], *range(top, top + k - 1)])
-            out_label += [label[u]] * k
-            out_vertex += [-1] * k
-            top += k - 1
-        built[u] = top
-    out.root = built[t.root]
-    return out
+                t_children.append(tuple(out[-k:]))
+                out[-k:] = [len(t_label)]
+            t_label.append(label[~u])
+            t_vertex.append(-1)
+            continue
+        kids = order[u]
+        if not kids:
+            out.append(len(t_label))
+            t_label.append(LEAF)
+            t_children.append(())
+            t_vertex.append(vertex[u])
+            continue
+        if low is not None:
+            kids.sort(key=low.__getitem__)
+        if len(kids) == 2:  # the cheap path: no comb
+            work += (~u, kids[1], kids[0])
+            continue
+        if left:  # each comb node above the first follows its child
+            for c in kids[:1:-1]:
+                work += (~u, c)
+            kids = kids[:2]
+        elif right:  # the comb nodes follow the last child
+            work += [~u] * (len(kids) - 2)
+        work.append(~u)
+        work += reversed(kids)
+    t.root = out[0]
+    return t
 
 
 def align_to_graph(t: Cotree, g: Graph) -> Cotree:
@@ -482,7 +448,7 @@ def align_to_graph(t: Cotree, g: Graph) -> Cotree:
     out = Cotree(names=g.names)
     out.label, out.children = t.label.copy(), t.children.copy()
     out.vertex = [v if v < 0 else gid[tnames[v]] for v in t.vertex]
-    out.root, out._numbered = t.root, t._numbered
+    out.root = t.root
     return out
 
 
@@ -612,7 +578,6 @@ def newick_read(s: str) -> Cotree:
         raise _newick_error(s, "parse-error: trailing input", i + 1)
     t.root = node
     t.names = tuple(ids)
-    t._numbered = len(label)
     return t
 
 

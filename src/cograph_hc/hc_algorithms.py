@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .graph import Graph
-from .cotree import Cotree, _combed, _cotree_of, _newick_spans, \
+from .cotree import Cotree, _cotree_of, _emitted, _newick_spans, \
     is_binary, node_chromatic_numbers
 
 if TYPE_CHECKING:
@@ -137,17 +137,10 @@ def reconstruct_cotree(g: Graph, c: Coloring) -> Cotree:
     verdict, order = _hc_refinement(t, c)
     if not verdict:
         raise NotHcColoringError(verdict.sets)
-    return _combed(t, order, range(len(order)), left=False)
+    return _emitted(t.label, order, t.vertex, t.root, t.names, comb="right")
 
 
 # -- counting -------------------------------------------------------------------
-
-def g_injections(s1: int, s2: int) -> int:
-    """Number of injective maps from an s1-set into an s2-set."""
-    if s1 > s2:
-        raise ValueError("injection-size-order")
-    return math.perm(s2, s1)
-
 
 class NodeCount:
     """One node of a count: `partitions`, its hc-colorings up to color
@@ -231,7 +224,7 @@ def _count(t: Cotree) -> CountReport:
     multiplies its children's counts (their color sets are disjoint) and
     sums their sizes. At a union the first child of maximum size, `best`,
     holds the color set, of size s = size[best], and every other child c
-    injects into it: count[best] times count[c] * g_injections(size[c], s)
+    injects into it: count[best] times count[c] * math.perm(s, size[c])
     per other child. The labeled total names the root's colors:
     count[root] * s!. Each node keeps its span of the tree's Newick text,
     written once, so a vertex name Newick cannot hold raises ValueError.
@@ -256,7 +249,7 @@ def _count(t: Cotree) -> CountReport:
             n = count[best]
             for c in kids:
                 if c != best:
-                    n *= count[c] * g_injections(size[c], s)
+                    n *= count[c] * math.perm(s, size[c])
             count[u], size[u] = n, s
         per_node.append(NodeCount(text, start[u], end[u], count[u], size[u]))
     root = t.root

@@ -1,9 +1,11 @@
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from cograph_hc import Graph, exhaustive_cographs
+from cograph_hc import Cotree, Graph, exhaustive_cographs
+from cograph_hc.cotree import LEAF, node_chromatic_numbers
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cograph_hc"
 
@@ -21,14 +23,70 @@ def pytest_terminal_summary(terminalreporter):
 
 def reference_postorder(t):
     """Reference: t's node ids below the root, children before parents,
-    left to right, by a walk over an explicit stack. `Cotree.postorder`
-    takes it from a cache that some builders set without a walk."""
+    left to right, by a walk over an explicit stack. Every `Cotree` is
+    numbered so, and `Cotree.postorder` is its ids; this walk does not
+    assume it."""
     out, stack = [], [t.root]
     while stack:
         u = stack.pop()
         out.append(u)
         stack.extend(t.children[u])
     return tuple(reversed(out))
+
+
+def assert_numbered_in_postorder(t):
+    """The invariant of every `Cotree`: the ids are a postorder, the root
+    the last node."""
+    assert t.root == t.n_nodes() - 1
+    assert reference_postorder(t) == tuple(range(t.n_nodes()))
+
+
+def tree_of(spec, names=None):
+    """A `Cotree` from nested tuples, an int a leaf's vertex and (label,
+    kid, kid, ...) an inner node. It is built with `add_leaf` and
+    `add_inner` in postorder over an explicit stack, so at any depth."""
+    t = Cotree(names=names)
+    out, work = [], [(spec, False)]
+    while work:
+        s, done = work.pop()
+        if isinstance(s, int):
+            out.append(t.add_leaf(s))
+        elif done:
+            k = len(s) - 1
+            out[-k:] = [t.add_inner(s[0], out[-k:])]
+        else:
+            work.append((s, True))
+            work.extend((c, False) for c in reversed(s[1:]))
+    t.root = out[0]
+    return t
+
+
+def caterpillar_spec(n):
+    """The depth-n caterpillar (0,(1,...(n-2,n-1)..)1)0: one leaf per
+    level, the spine each node's right child, labels alternating."""
+    spec = n - 1
+    for v in range(n - 2, -1, -1):
+        spec = (v % 2, v, spec)
+    return spec
+
+
+def chromatic_number(t):
+    """Chromatic number of the graph of cotree t."""
+    return node_chromatic_numbers(t)[t.root]
+
+
+def is_discriminating(t):
+    """True iff adjacent inner nodes carry distinct labels."""
+    label = t.label
+    return all(label[c] != lab for lab, kids in zip(label, t.children)
+               if lab != LEAF for c in kids)
+
+
+def g_injections(s1, s2):
+    """Number of injective maps from an s1-set into an s2-set."""
+    if s1 > s2:
+        raise ValueError("injection-size-order")
+    return math.perm(s2, s1)
 
 
 @pytest.fixture(scope="session")

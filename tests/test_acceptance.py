@@ -12,13 +12,14 @@ import time
 import pytest
 
 from cograph_hc import (GenParams, Graph, InjectionChooser, P4Witness,
-                        alg1_color, build_cotree, chromatic_number,
-                        exhaustive_cographs, greedy_coloring, is_greedy,
-                        is_hc_coloring, newick_read, random_cograph,
-                        realized_graph, to_binary, verify_hc)
+                        alg1_color, build_cotree, exhaustive_cographs,
+                        greedy_coloring, is_greedy, is_hc_coloring,
+                        newick_read, random_cograph, realized_graph,
+                        to_binary, verify_hc)
 from cograph_hc import oracle
 from cograph_hc.cotree import align_to_graph
 from cograph_hc.hc_algorithms import count_hc_wrt
+from conftest import chromatic_number
 
 
 LINES: list[str] = []  # echoed in the terminal summary by conftest

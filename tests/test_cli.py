@@ -10,6 +10,7 @@ import pytest
 from cograph_hc import (GenParams, random_cograph, read_edge_list,
                         write_edge_list)
 from cograph_hc.cli import main
+from conftest import caterpillar_spec, tree_of
 
 GRAPH = "n 4\nnames a b c d\na b\n"
 P4_TEXT = "n 4\nnames a b c d\na b\nb c\nc d\n"
@@ -314,11 +315,17 @@ def test_count(files, capsys):
 
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader has gone: writing (or, with `at_flush`,
-    flushing) raises BrokenPipeError."""
+    flushing) raises BrokenPipeError. Its descriptor is the write end of
+    a pipe whose read end is closed."""
 
     def __init__(self, at_flush=False):
         super().__init__()
         self.at_flush = at_flush
+        read_end, self.fd = os.pipe()
+        os.close(read_end)
+
+    def fileno(self):
+        return self.fd
 
     def write(self, text):
         if not self.at_flush:
@@ -334,13 +341,15 @@ class _ClosedPipe(io.StringIO):
 @pytest.mark.parametrize("argv", [["count"], ["recognize"]])
 def test_broken_pipe_exits_2_with_one_line(files, capsys, monkeypatch,
                                            argv, at_flush):
-    monkeypatch.setattr(sys, "stdout", _ClosedPipe(at_flush))
-    assert main([*argv, files("g.txt", GRAPH)]) == 2
-    # what is left goes to os.devnull, so the final flush cannot raise
-    assert sys.stdout.name == os.devnull
-    sys.stdout.write("more output\n")
-    sys.stdout.flush()
-    sys.stdout.close()
+    pipe = _ClosedPipe(at_flush)
+    monkeypatch.setattr(sys, "stdout", pipe)
+    try:
+        assert main([*argv, files("g.txt", GRAPH)]) == 2
+        # what is left goes to os.devnull, so the final flush cannot raise
+        assert os.path.samestat(os.fstat(pipe.fd), os.stat(os.devnull))
+        assert os.write(pipe.fd, b"more output\n") == 12
+    finally:
+        os.close(pipe.fd)
     assert capsys.readouterr().err == (
         "error: standard output closed (broken pipe)\n")
 
@@ -348,27 +357,20 @@ def test_broken_pipe_exits_2_with_one_line(files, capsys, monkeypatch,
 def _caterpillar_edge_list(path, n):
     """Write the edge list of the depth-n caterpillar cotree, labels
     alternating, to path; return the graph."""
-    from cograph_hc import Cotree, realized_graph
-    t = Cotree()
-    acc = t.add_leaf(n - 1)
-    for v in range(n - 2, -1, -1):
-        acc = t.add_inner(v % 2, [t.add_leaf(v), acc])
-    t.root = acc
-    g = realized_graph(t)
+    from cograph_hc import realized_graph
+    g = realized_graph(tree_of(caterpillar_spec(n)))
     path.write_text(write_edge_list(g), encoding="utf-8")
     return g
 
 
-@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "-u"])
-def test_a_reader_that_leaves_early_gets_exit_2_and_one_line(tmp_path,
-                                                             flags):
-    # `count` of a depth-1000 caterpillar writes 4 MB, more than a pipe
-    # holds, and the reader leaves after 100 bytes. Under -u the text layer
-    # wrote to the raw file and ignored its short write: exit 0, no line.
+def _count_read_by_100_bytes(tmp_path, flags):
+    """Exit code and stderr of `count` of a depth-1000 caterpillar, 4 MB,
+    more than a pipe holds, whose reader leaves after 100 bytes."""
     path = tmp_path / "cat.txt"
     _caterpillar_edge_list(path, 1000)
     env = _fresh_env()
     env.pop("PYTHONUNBUFFERED", None)
+    env.pop("PYTHONDEVMODE", None)
     proc = subprocess.Popen([sys.executable, *flags, "-m", "cograph_hc.cli",
                              "count", str(path)], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -376,7 +378,23 @@ def test_a_reader_that_leaves_early_gets_exit_2_and_one_line(tmp_path,
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert (proc.wait(), err) == (
+    return proc.wait(), err
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "-u"])
+def test_a_reader_that_leaves_early_gets_exit_2_and_one_line(tmp_path,
+                                                             flags):
+    # Under -u the text layer wrote to the raw file and ignored its short
+    # write: exit 0, no line.
+    assert _count_read_by_100_bytes(tmp_path, flags) == (
+        2, b"error: standard output closed (broken pipe)\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "-u"])
+def test_a_closed_pipe_leaves_no_file_to_warn_about(tmp_path, flags):
+    # -X dev shows ResourceWarnings: a file opened on os.devnull to take
+    # the rest of the output and never closed added a second line
+    assert _count_read_by_100_bytes(tmp_path, ["-X", "dev", *flags]) == (
         2, b"error: standard output closed (broken pipe)\n")
 
 

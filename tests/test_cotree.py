@@ -6,15 +6,16 @@ import tracemalloc
 import pytest
 
 from cograph_hc import (Cotree, GenParams, Graph, NotACographError,
-                        P4Witness, align_to_graph, build_cotree,
-                        chromatic_number, complement, is_binary,
-                        is_discriminating, make_discriminating, newick_read,
-                        newick_write, random_cograph, realized_graph,
-                        realizes, to_binary)
+                        P4Witness, alg1_color, align_to_graph, build_cotree,
+                        complement, is_binary, make_discriminating,
+                        newick_read, newick_write, random_cograph,
+                        realized_graph, realizes, reconstruct_cotree,
+                        to_binary)
 from cograph_hc.cotree import LEAF, _cotree_of, _find_p4_in
 from cograph_hc.graph import bits
 from cograph_hc.oracle import find_induced_p4
-from conftest import reference_postorder
+from conftest import assert_numbered_in_postorder, caterpillar_spec, \
+    chromatic_number, is_discriminating, tree_of
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)], names=("a", "b", "c", "d"))
 
@@ -126,8 +127,7 @@ def arrays(t):
 def assert_same_tree(g):
     t, ref = build_cotree(g), top_down_cotree(g)
     assert arrays(t) == arrays(ref)
-    assert t.postorder() == reference_postorder(t) \
-        == tuple(range(t.n_nodes()))
+    assert_numbered_in_postorder(t)
 
 
 def test_twin_merging_matches_top_down_on_all_graphs_up_to_5():
@@ -182,8 +182,7 @@ def test_deep_caterpillar_is_recognized_fast():
     t = build_cotree(g)
     elapsed = time.perf_counter() - start
     assert t == make_discriminating(tree)
-    assert t.postorder() == reference_postorder(t) \
-        == tuple(range(t.n_nodes()))
+    assert_numbered_in_postorder(t)
     assert elapsed < 5
 
 
@@ -262,40 +261,63 @@ def test_p4_witness_in_a_large_stalled_set_is_fast():
     assert elapsed < 0.5
 
 
-def test_postorder_is_a_cached_tuple_that_follows_the_tree():
+def test_add_inner_takes_the_subtrees_finished_last_in_order():
     t = Cotree()
-    a, b = t.add_leaf(0), t.add_leaf(1)
-    t.root = t.add_inner(1, [a, b])
-    post = t.postorder()
-    assert post == (0, 1, 2) and t.postorder() is post
-    assert t.leaf_masks() == [0b1, 0b10, 0b11]
-    c = t.add_leaf(2)
-    assert t.postorder() == post and t.leaf_masks() == [1, 2, 3, 0]
-    t.root = t.add_inner(0, [t.root, c])
-    assert t.postorder() == (0, 1, 2, 3, 4)
-    assert t.leaf_masks() == [0b1, 0b10, 0b11, 0b100, 0b111]
-    t.root = a  # a new root over the same arena
-    assert t.postorder() == (0,) and t.leaf_masks() == [1, 0, 0, 0, 0]
+    a, b, c = t.add_leaf(0), t.add_leaf(1), t.add_leaf(2)
+    refused = [[b, a], [c, b], [a, b], [a, c], [b, b, c], [c, c], [-1, c]]
+    for kids in refused:
+        with pytest.raises(ValueError, match="finished last, in order"):
+            t.add_inner(1, kids)
+    bc = t.add_inner(1, [b, c])
+    for kids in ([b, bc], [c, bc], [a, b, bc], [bc, bc]):
+        with pytest.raises(ValueError, match="finished last, in order"):
+            t.add_inner(0, kids)
+    assert t.n_nodes() == 4  # a refused node is not added
+    t.root = t.add_inner(0, [a, bc])
+    for kids in ([t.root, t.root], [-1, t.root]):
+        with pytest.raises(ValueError, match="finished last, in order"):
+            t.add_inner(1, kids)
+    with pytest.raises(ValueError, match="finished last, in order"):
+        Cotree().add_inner(1, [-1, -1])
+    assert newick_write(t) == "(v0,(v1,v2)1)0;"
+    assert t.postorder() == range(5)
+    assert t.leaf_masks() == [0b1, 0b10, 0b100, 0b110, 0b111]
 
 
-def test_builders_number_in_postorder_and_the_walk_resumes_on_change(
-        k2_k1_k1):
-    # build_cotree and newick_read number their nodes in postorder, the
-    # root last, and align_to_graph keeps the numbering: postorder() is
-    # then the ids, with no walk. A node added or another root walks again.
-    built = build_cotree(k2_k1_k1)
-    read = newick_read("((a,(b,c)1)0,(d,e)1)0;")
-    aligned = align_to_graph(newick_read("(c,d,(a,b)1)0;"), k2_k1_k1)
-    for t in (built, read, aligned):
-        assert t._numbered == t.n_nodes() == t.root + 1
-        assert t.postorder() == reference_postorder(t) \
-            == tuple(range(t.n_nodes()))
-    t = read
-    t.root = t.add_inner(1, [t.add_leaf(5), t.root])
-    assert t.postorder() == reference_postorder(t) \
-        == (9, *range(9), 10)
-    t.root = 4
-    assert t.postorder() == reference_postorder(t) == (0, 1, 2, 3, 4)
+def assert_every_builder_numbers_in_postorder(g, raw):
+    """Each builder's tree for the cograph g, and for `raw`, another
+    cotree of g, has the ids of its postorder with the root last."""
+    t = build_cotree(g)
+    text = newick_write(t)
+    c, _ = alg1_color(g)
+    trees = [raw, t, newick_read(text), align_to_graph(newick_read(text), g),
+             reconstruct_cotree(g, c), make_discriminating(to_binary(raw))]
+    for s in (t, raw):
+        trees += [to_binary(s, "left-comb"), to_binary(s, "chi-ascending"),
+                  make_discriminating(s)]
+    for tree in trees:
+        assert_numbered_in_postorder(tree)
+
+
+def test_every_builder_numbers_in_postorder_on_the_corpus_up_to_5(
+        small_cographs):
+    from cograph_hc.oracle import all_binary_cotrees
+    for g in small_cographs:
+        binary = all_binary_cotrees(g)
+        for bt in binary:
+            assert_numbered_in_postorder(bt)
+        assert_every_builder_numbers_in_postorder(g, binary[-1])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_builder_numbers_in_postorder_at_n_3000(seed):
+    g, raw = random_cograph(GenParams(n=3000, seed=seed, max_arity=4))
+    assert_every_builder_numbers_in_postorder(g, raw)
+
+
+def test_every_builder_numbers_in_postorder_on_a_depth_2000_caterpillar():
+    cat = tree_of(caterpillar_spec(2000))
+    assert_every_builder_numbers_in_postorder(realized_graph(cat), cat)
 
 
 def test_chromatic_number(k2_k1_k1):

@@ -6,6 +6,7 @@ import pytest
 from cograph_hc import (GenParams, Graph, P4Witness, build_cotree,
                         exhaustive_cographs, random_cograph, realizes)
 from cograph_hc.oracle import _has_p4_through, find_induced_p4
+from conftest import is_discriminating
 
 # labeled cograph counts, frozen after exhaustive P4-free filtering
 # (OEIS A006351)
@@ -112,7 +113,6 @@ def test_random_cograph_respects_arity():
 
 
 def test_balance_one_gives_discriminating_cotree():
-    from cograph_hc import is_discriminating
     for seed in range(10):
         _, t = random_cograph(GenParams(n=12, seed=seed, balance=1.0))
         assert is_discriminating(t)

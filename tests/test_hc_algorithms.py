@@ -9,14 +9,14 @@ import pytest
 from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
                         NotACographError, NotHcColoringError, alg1_color,
                         build_cotree, count_hc_total, count_hc_wrt,
-                        g_injections, is_discriminating, is_hc_coloring,
-                        newick_read, newick_write, random_cograph,
-                        realized_graph, realizes, reconstruct_cotree,
-                        to_binary, verify_hc)
+                        is_hc_coloring, newick_read, newick_write,
+                        random_cograph, realized_graph, realizes,
+                        reconstruct_cotree, to_binary, verify_hc)
 from cograph_hc.cotree import align_to_graph
 from cograph_hc.hc_algorithms import _count, _recolor_top_down
 from cograph_hc.oracle import (all_binary_cotrees, brute_chromatic,
                                enumerate_alg1_outputs, proper_partitions)
+from conftest import g_injections, is_discriminating, tree_of
 
 
 def test_chooser_validation():
@@ -286,13 +286,10 @@ def caterpillar(n, left=False, names=None):
     """Leaves 0..n-1, one per level, labels alternating: the spine is each
     node's right child, `(0,(1,...)1)0`, or with `left` its left child,
     the left comb `((...,1)1,0)0`."""
-    t = Cotree(names=names)
-    acc = t.add_leaf(n - 1)
+    spec = n - 1
     for v in range(n - 2, -1, -1):
-        leaf = t.add_leaf(v)
-        acc = t.add_inner(v % 2, [acc, leaf] if left else [leaf, acc])
-    t.root = acc
-    return t
+        spec = (v % 2, spec, v) if left else (v % 2, v, spec)
+    return tree_of(spec, names)
 
 
 def join_comb(n):
@@ -318,7 +315,7 @@ def test_recolor_depth_100000_in_linear_time_and_memory(shape, chi,
     c = _recolor_top_down(t, images())
     assert time.perf_counter() - start < 1
     assert len(c) == 100_000 and max(c.values()) == chi
-    t = shape(100_000)  # its walk uncached again
+    t = shape(100_000)
     tracemalloc.start()
     try:
         assert _recolor_top_down(t, images()) == c
@@ -330,12 +327,7 @@ def test_recolor_depth_100000_in_linear_time_and_memory(shape, chi,
 
 def test_alg1_memory_on_a_deep_caterpillar():
     # depth 10^4, labels alternating: per-node vertex lists took 430 MB
-    t = Cotree()
-    acc = t.add_leaf(9999)
-    for v in range(9998, -1, -1):
-        acc = t.add_inner(v % 2, [t.add_leaf(v), acc])
-    t.root = acc
-    g = realized_graph(t)
+    g = realized_graph(caterpillar(10_000))
     tracemalloc.start()
     try:
         c, _ = alg1_color(g)
@@ -382,6 +374,14 @@ def test_g_injections():
     assert g_injections(0, 5) == 1
     with pytest.raises(ValueError, match="injection-size-order"):
         g_injections(3, 2)
+    # the union of K_s1 and K_s2 counts the injections of the smaller
+    # clique's colors into the larger's, up to renaming
+    def clique(first, size):
+        return (1, *range(first, first + size)) if size > 1 else first
+
+    for s1, s2 in ((1, 1), (1, 4), (2, 3), (3, 5)):
+        t = tree_of((0, clique(0, s1), clique(s1, s2)))
+        assert _count(t).root_partitions == g_injections(s1, s2)
 
 
 def test_count_hc_wrt_reference_values(k2_k1_k1):
@@ -417,13 +417,11 @@ def test_count_report_render(k2_k1_k1):
 def test_count_report_renders_past_the_int_digit_limit():
     # a balanced binary join over 1800 leaves: K_1800, labeled total 1800!
     # (5080 digits), beyond the interpreter's default 4300-digit limit
-    t = Cotree()
-    level = [t.add_leaf(v) for v in range(1800)]
+    level = list(range(1800))
     while len(level) > 1:
-        pairs = [t.add_inner(1, level[i:i + 2])
-                 for i in range(0, len(level) - 1, 2)]
+        pairs = [(1, *level[i:i + 2]) for i in range(0, len(level) - 1, 2)]
         level = pairs + level[len(level) - len(level) % 2:]
-    t.root = level[0]
+    t = tree_of(level[0])
     text = count_hc_wrt(t).render()
     digits = text.rsplit("labeled_total ", 1)[1].rstrip("\n")
     value = 0
@@ -560,11 +558,7 @@ def test_count_matches_references_on_random_cographs(n):
 
 
 def test_count_matches_references_on_a_deep_caterpillar():
-    t = Cotree()
-    acc = t.add_leaf(999)
-    for v in range(998, -1, -1):
-        acc = t.add_inner(v % 2, [t.add_leaf(v), acc])
-    t.root = acc
+    t = caterpillar(1000)
     assert triples(count_hc_wrt(t)) == reference_count_wrt(t)
     assert_counts_as_references(realized_graph(t))
 

@@ -9,9 +9,10 @@ import random
 
 import pytest
 
-from cograph_hc import (GenParams, Graph, build_cotree, chromatic_number,
-                        complement, count_hc_total, random_cograph)
+from cograph_hc import (GenParams, Graph, build_cotree, complement,
+                        count_hc_total, random_cograph)
 from cograph_hc.cotree import LEAF
+from conftest import chromatic_number
 
 
 @pytest.fixture(scope="module", params=[1, 2])

@@ -9,7 +9,7 @@ from cograph_hc import (Cotree, GenParams, Graph, NewickError, build_cotree,
                         exhaustive_cographs, make_discriminating, newick_read,
                         newick_write, random_cograph)
 from cograph_hc.oracle import all_binary_cotrees
-from conftest import reference_postorder
+from conftest import assert_numbered_in_postorder, caterpillar_spec, tree_of
 
 _NAME = re.compile(r"[^(),;\s]+")
 _SPACE = re.compile(r"\s*")
@@ -163,12 +163,7 @@ def test_write_rejects_names_that_cannot_read_back(name):
 
 def caterpillar(depth):
     """Leaves v0..v{depth}, one per level, labels alternating."""
-    t = Cotree()
-    acc = t.add_leaf(depth)
-    for v in range(depth - 1, -1, -1):
-        acc = t.add_inner(v % 2, [t.add_leaf(v), acc])
-    t.root = acc
-    return t
+    return tree_of(caterpillar_spec(depth + 1))
 
 
 def traced_peak(fn):
@@ -224,8 +219,7 @@ def assert_same_outcome(text):
     else:
         assert isinstance(got, Cotree), (text, got)
         assert same_tree(got, want), text
-        # the ids are the postorder, which newick_read sets without a walk
-        assert got.postorder() == reference_postorder(got), text
+        assert_numbered_in_postorder(got)
 
 
 def test_reader_matches_reference_on_every_cotree_up_to_5():

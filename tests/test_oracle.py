@@ -5,9 +5,10 @@ from functools import cached_property
 
 import pytest
 
-from cograph_hc import (Cotree, Graph, build_cotree, chromatic_number,
-                        exhaustive_cographs, newick_write, verify_hc)
+from cograph_hc import (Cotree, Graph, build_cotree, exhaustive_cographs,
+                        newick_write, verify_hc)
 from cograph_hc import oracle
+from conftest import chromatic_number
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 

@@ -14,31 +14,28 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
+from cograph_hc import (GenParams, Graph, InjectionChooser,
                         NotHcColoringError, Verdict, alg1_color, build_cotree,
-                        chromatic_number, exhaustive_cographs,
-                        greedy_coloring, is_binary, is_greedy, is_hc_coloring,
+                        exhaustive_cographs, greedy_coloring, is_binary,
+                        is_greedy, is_hc_coloring,
                         is_proper, newick_write, random_cograph,
                         realized_graph, realizes, reconstruct_cotree,
                         to_binary, verify_hc)
 from cograph_hc.coloring import (_color_bits, _colors, _greedy_witness,
                                  _improper_edge)
 from cograph_hc.oracle import proper_partitions
+from conftest import chromatic_number, tree_of
 
 
 def caterpillar(levels, leaves_per_level=1):
     """Cotree whose inner nodes alternate union/join down one spine; each
     level hangs `leaves_per_level` leaves off it. Vertices are numbered
     from the top."""
-    t = Cotree()
-    n = levels * leaves_per_level + 1
-    acc = t.add_leaf(n - 1)
+    spec = levels * leaves_per_level
     for level in range(levels - 1, -1, -1):
         first = level * leaves_per_level
-        kids = [t.add_leaf(v) for v in range(first, first + leaves_per_level)]
-        acc = t.add_inner(level % 2, kids + [acc])
-    t.root = acc
-    return t
+        spec = (level % 2, *range(first, first + leaves_per_level), spec)
+    return tree_of(spec)
 
 
 @pytest.fixture(scope="module", params=["random-2000", "caterpillar-500"])
