@@ -25,9 +25,7 @@ from . import cotree as ct
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A usage or I/O error, reported on one line with exit code 2."""
 
 
 def _read_text(path: str) -> str:
@@ -159,13 +157,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if verdict.accepted:
             print("ACCEPT")
             return 0
-        leaves, below = [], [verdict.node]
-        while below:
-            u = below.pop()
-            below.extend(t.children[u])
-            if t.label[u] == ct.LEAF:
-                leaves.append(names[t.vertex[u]])
-        leaves.sort()
+        # ids are a postorder: the node's subtree is its leftmost leaf's
+        # id up to its own
+        first = verdict.node
+        while t.children[first]:
+            first = t.children[first][0]
+        leaves = sorted(names[t.vertex[u]] for u in range(first, verdict.node)
+                        if t.label[u] == ct.LEAF)
         s1, s2 = (sorted(s) for s in verdict.sets)
         print(f"{verdict.axiom} violation at node over "
               f"{{{','.join(leaves)}}}: color sets {s1} vs {s2}")
@@ -218,9 +216,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise _CliError(f"size-guard: --max-n {args.max_n} exceeds 6")
     if args.max_n < 1:
         raise _CliError("--max-n must be >= 1")
-    theorems = oracle.check_theorem_ids(
-        [t.strip() for t in args.theorems.split(",")] if args.theorems
-        else None)
+    theorems = ([t.strip() for t in args.theorems.split(",")]
+                if args.theorems else None)
     corpus = []
     for n in range(1, args.max_n + 1):
         corpus.extend(exhaustive_cographs(n))
@@ -342,10 +339,7 @@ def main(argv: list[str] | None = None) -> int:
             code = 1
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -148,9 +148,10 @@ def verify_hc(g: Graph, t: Cotree, c: Coloring,
     """Check axioms K1-K3 bottom-up against a binary cotree of g.
 
     Joins require disjoint child color sets (K2); unions require one child
-    color set to contain the other (K3). On rejection the deepest failing
-    node is reported, ties broken leftmost. Colors are renumbered densely
-    before they become bits; the certificate holds the original colors.
+    color set to contain the other (K3). On rejection the first failing
+    node in id order, a postorder, is reported, so no node below it fails.
+    Colors are renumbered densely before they become bits; the certificate
+    holds the original colors.
     """
     _check_domain(g, c)
     if check_tree:
@@ -163,7 +164,6 @@ def verify_hc(g: Graph, t: Cotree, c: Coloring,
     vertex = t.vertex
     bit, palette = _color_bits(c)
     masks = [0] * t.n_nodes()
-    failures: list[tuple[int, str, int, int]] = []
     for u in t.postorder():
         if label[u] == -1:
             masks[u] = bit[vertex[u]]
@@ -173,21 +173,16 @@ def verify_hc(g: Graph, t: Cotree, c: Coloring,
         masks[u] = m1 | m2
         if label[u] == 1:
             if m1 & m2:
-                failures.append((u, "K2", m1, m2))
+                axiom = "K2"
+                break
         else:
             inter = m1 & m2
             if inter != m1 and inter != m2:
-                failures.append((u, "K3", m1, m2))
-    if not failures:
+                axiom = "K3"
+                break
+    else:
         return Verdict(True)
-    # deepest failing node: failures are in postorder, which lists nodes of
-    # equal depth left to right, and max() keeps the first maximum
-    depth = [0] * t.n_nodes()
-    for u in reversed(t.postorder()):
-        for ch in children[u]:
-            depth[ch] = depth[u] + 1
-    node, axiom, m1, m2 = max(failures, key=lambda f: depth[f[0]])
-    return Verdict(False, node=node, axiom=axiom,
+    return Verdict(False, node=u, axiom=axiom,
                    sets=(_colors(m1, palette), _colors(m2, palette)))
 
 
@@ -200,15 +195,14 @@ def _hc_refinement(t: Cotree, c: Coloring) -> tuple[Verdict, list]:
     One bottom-up pass with color bitmasks: a join becomes a right comb in
     child order, a union one in stable ascending order of color-set size.
     At each comb node the first child's set must be disjoint from (join,
-    K2) or contained in (union, K3) the rest's; a rejection carries both
-    sets of the first failing comb node in preorder.
+    K2) or contained in (union, K3) the rest's. A rejection carries both
+    sets of the first failing comb node, with nodes in id order and each
+    node's comb from the bottom up, and returns there: its order is partial.
     """
     bit, palette = _color_bits(c)
     label, vertex = t.label, t.vertex
     order = list(t.children)
     masks = [0] * len(order)
-    # per node, the first failing comb node in preorder below it
-    fail: list[tuple[int, int, int] | None] = [None] * len(order)
     for u, kids in enumerate(order):
         if not kids:
             masks[u] = bit[vertex[u]]
@@ -216,19 +210,16 @@ def _hc_refinement(t: Cotree, c: Coloring) -> tuple[Verdict, list]:
         lab = label[u]
         if lab == 0:
             kids = order[u] = sorted(kids, key=lambda k: masks[k].bit_count())
-        rest, first = masks[kids[-1]], fail[kids[-1]]
+        rest = masks[kids[-1]]
         for k in reversed(kids[:-1]):  # comb nodes from the bottom up
             m = masks[k]
-            first = fail[k] or first
             if (m & rest) if lab == 1 else (m & ~rest):
-                first = (lab, m, rest)
+                return Verdict(False, axiom="K2" if lab == 1 else "K3",
+                               sets=(_colors(m, palette),
+                                     _colors(rest, palette))), order
             rest |= m
-        masks[u], fail[u] = rest, first
-    if fail[t.root] is None:
-        return Verdict(True), order
-    lab, m, rest = fail[t.root]
-    return Verdict(False, axiom="K2" if lab == 1 else "K3",
-                   sets=(_colors(m, palette), _colors(rest, palette))), order
+        masks[u] = rest
+    return Verdict(True), order
 
 
 def is_hc_coloring(g: Graph, c: Coloring) -> Verdict:
@@ -237,8 +228,8 @@ def is_hc_coloring(g: Graph, c: Coloring) -> Verdict:
     A join needs pairwise disjoint child color sets, a union one child set
     equal to the union of all. Both are decided on the refinement
     `reconstruct_cotree` returns (`_hc_refinement`). The certificate is the
-    (first, rest) pair of its first failing comb node in preorder: sets
-    that meet (K2), or neither containing the other (K3; rest is the
+    (first, rest) pair of the first failing comb node that pass meets:
+    sets that meet (K2), or neither containing the other (K3; rest is the
     larger). `verify` prints this pair for hc=no.
     """
     _check_domain(g, c)

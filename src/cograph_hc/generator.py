@@ -14,13 +14,12 @@ identical (graph, cotree) pair.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import Graph
-from .cotree import Cotree, realized_graph
+from .cotree import Cotree, _emitted, realized_graph
 
 
 @dataclass(frozen=True)
@@ -49,37 +48,32 @@ class GenParams:
 def random_cograph(p: GenParams) -> tuple[Graph, Cotree]:
     """Sample a random cotree with n leaves and return its realized graph."""
     rng = random.Random(p.seed)
-    t = Cotree()
-    next_vertex = itertools.count()
-    out: list[int] = []
-    root_label = 1 if rng.random() < p.balance else 0
-    # preorder descent with explicit stack; deep caterpillars stay safe
-    work: list[tuple[str, object]] = [("enter", (p.n, root_label))]
+    # the work tree, root 0: per node its label, children and leaf count,
+    # and a leaf's vertex; `_emitted` numbers it in postorder
+    label = [1 if rng.random() < p.balance else 0]
+    order: list[list[int]] = [[]]
+    size = [p.n]
+    vertex = [-1]
+    leaves = 0
+    work = [0]  # preorder on an explicit stack; deep caterpillars stay safe
     while work:
-        tag, arg = work.pop()
-        if tag == "exit":
-            label, k = arg  # type: ignore[misc]
-            kids = out[-k:]
-            del out[-k:]
-            out.append(t.add_inner(label, kids))
-            continue
-        count, label = arg  # type: ignore[misc]
+        u = work.pop()
+        count = size[u]
         if count == 1:
-            out.append(t.add_leaf(next(next_vertex)))
+            vertex[u] = leaves
+            leaves += 1
             continue
         k = rng.randint(2, min(p.max_arity, count))
         cuts = sorted(rng.sample(range(1, count), k - 1))
-        sizes = [b - a for a, b in zip([0] + cuts, cuts + [count])]
-        child_specs = []
-        for size in sizes:
-            child_label = label
-            if size > 1 and rng.random() < p.balance:
-                child_label = 1 - label
-            child_specs.append((size, child_label))
-        work.append(("exit", (label, k)))
-        for spec in reversed(child_specs):
-            work.append(("enter", spec))
-    t.root = out[0]
+        for a, b in zip([0] + cuts, cuts + [count]):
+            order[u].append(len(size))
+            flip = b - a > 1 and rng.random() < p.balance
+            label.append(1 - label[u] if flip else label[u])
+            order.append([])
+            size.append(b - a)
+            vertex.append(-1)
+        work += reversed(order[u])
+    t = _emitted(label, order, vertex, 0, None)
     return realized_graph(t), t
 
 

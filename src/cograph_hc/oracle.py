@@ -495,27 +495,21 @@ class _GraphCtx:
         return [any(self.verdicts(c)) for c in self.partitions]
 
 
-def check_theorem_ids(theorems: list[str] | None) -> list[str]:
-    """The theorems to check, all if None; ValueError on an unknown or a
-    repeated id."""
+def check_theorems(corpus: list[Graph], theorems: list[str] | None = None,
+                   seed: int = 0) -> list[TheoremReport]:
+    """Run every cross-check on the corpus, all theorems if None; failures
+    are data, not errors, and an unknown or a repeated id is a ValueError.
+
+    The per-instance RNG is derived from (seed, instance index), so an
+    instance's checks do not depend on the instances before it.
+    """
     if theorems is None:
-        return list(THEOREM_IDS)
+        theorems = list(THEOREM_IDS)
     for i, tid in enumerate(theorems):
         if tid not in THEOREM_IDS:
             raise ValueError(f"unknown theorem id {tid!r}")
         if tid in theorems[:i]:
             raise ValueError(f"duplicate theorem id {tid!r}")
-    return theorems
-
-
-def check_theorems(corpus: list[Graph], theorems: list[str] | None = None,
-                   seed: int = 0) -> list[TheoremReport]:
-    """Run every cross-check on the corpus; failures are data, not errors.
-
-    The per-instance RNG is derived from (seed, instance index), so an
-    instance's checks do not depend on the instances before it.
-    """
-    theorems = check_theorem_ids(theorems)
     reports = {tid: TheoremReport(tid) for tid in theorems}
     for idx, g in enumerate(corpus):
         rng = random.Random((seed << 32) + idx)  # per-instance stream

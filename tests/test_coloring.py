@@ -176,10 +176,21 @@ def test_verify_hc_k2_fails_exactly_on_improper(k2_k1_k1):
     assert not verdict.accepted and verdict.axiom == "K2"
 
 
-def test_verify_hc_reports_deepest_leftmost_failure():
+def test_verify_hc_reports_a_shallow_failure_left_of_a_deeper_one():
+    g = Graph(5, [(0, 1), (2, 3), (2, 4)])
+    t = align_to_graph(newick_read("((v0,v1)1,(v2,(v3,v4)0)1)0;"), g)
+    # the join (v0,v1) fails K2 at depth 1 and the union (v3,v4) K3 at
+    # depth 3; the join comes first in postorder
+    verdict = verify_hc(g, t, {0: 1, 1: 1, 2: 1, 3: 2, 4: 3})
+    assert verdict.axiom == "K2"
+    assert verdict.sets == (frozenset({1}), frozenset({1}))
+    assert {t.vertex[x] for x in _leaves_below(t, verdict.node)} == {0, 1}
+
+
+def test_verify_hc_reports_the_left_of_two_failing_siblings():
     g = Graph(4)
     t = align_to_graph(newick_read("((v0,v1)0,(v2,v3)0)0;"), g)
-    # both inner 0-nodes fail K3; the report must pick the left one
+    # both inner 0-nodes fail K3; the left one comes first in postorder
     verdict = verify_hc(g, t, {0: 1, 1: 2, 2: 3, 3: 4})
     assert not verdict.accepted
     assert {t.vertex[x] for x in _leaves_below(t, verdict.node)} == {0, 1}

@@ -1,10 +1,13 @@
+import itertools
+import random
 import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from cograph_hc import (GenParams, Graph, P4Witness, build_cotree,
-                        exhaustive_cographs, random_cograph, realizes)
+from cograph_hc import (Cotree, GenParams, Graph, P4Witness, build_cotree,
+                        exhaustive_cographs, random_cograph, realized_graph,
+                        realizes)
 from cograph_hc.oracle import _has_p4_through, find_induced_p4
 from conftest import is_discriminating
 
@@ -110,6 +113,56 @@ def test_random_cograph_respects_arity():
     for seed in range(10):
         _, t = random_cograph(GenParams(n=15, seed=seed, max_arity=2))
         assert all(len(kids) <= 2 for kids in t.children)
+
+
+def tagged_random_cograph(p):
+    """Reference: the same model sampled over a stack of enter/exit tags,
+    each node built with `add_leaf` or `add_inner` as it is finished."""
+    rng = random.Random(p.seed)
+    t = Cotree()
+    next_vertex = itertools.count()
+    out = []
+    root_label = 1 if rng.random() < p.balance else 0
+    work = [("enter", (p.n, root_label))]
+    while work:
+        tag, arg = work.pop()
+        if tag == "exit":
+            label, k = arg
+            kids = out[-k:]
+            del out[-k:]
+            out.append(t.add_inner(label, kids))
+            continue
+        count, label = arg
+        if count == 1:
+            out.append(t.add_leaf(next(next_vertex)))
+            continue
+        k = rng.randint(2, min(p.max_arity, count))
+        cuts = sorted(rng.sample(range(1, count), k - 1))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [count])]
+        child_specs = []
+        for size in sizes:
+            child_label = label
+            if size > 1 and rng.random() < p.balance:
+                child_label = 1 - label
+            child_specs.append((size, child_label))
+        work.append(("exit", (label, k)))
+        for spec in reversed(child_specs):
+            work.append(("enter", spec))
+    t.root = out[0]
+    return realized_graph(t), t
+
+
+def test_random_cograph_equals_the_tagged_sampler():
+    # the same draws in the same order give the same tree and graph, which
+    # `gen` files and every seeded benchmark input depend on
+    params = [GenParams(n, seed, arity, balance)
+              for n in range(1, 41) for seed in range(40)
+              for arity, balance in ((2, 0.5), (3, 0.5), (4, 0.0), (5, 1.0))]
+    params += [GenParams(200, seed=1), GenParams(3500, seed=2)]
+    for p in params:
+        g, t = random_cograph(p)
+        want_g, want_t = tagged_random_cograph(p)
+        assert t == want_t and g == want_g, p
 
 
 def test_balance_one_gives_discriminating_cotree():

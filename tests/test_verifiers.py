@@ -24,7 +24,7 @@ from cograph_hc import (GenParams, Graph, InjectionChooser,
 from cograph_hc.coloring import (_color_bits, _colors, _greedy_witness,
                                  _improper_edge)
 from cograph_hc.oracle import proper_partitions
-from conftest import chromatic_number, tree_of
+from conftest import chromatic_number, reference_postorder, tree_of
 
 
 def caterpillar(levels, leaves_per_level=1):
@@ -211,13 +211,19 @@ def test_reconstruct_cotree_pinned_trees(edges, n, c, newick):
 
 @pytest.mark.parametrize("edges,n,c,certificate", [
     ([], 4, {0: 2, 1: 1, 2: 2, 3: 1}, ({2}, {1})),
-    ([], 4, {0: 1, 1: 2, 2: 2, 3: 3}, ({1}, {2, 3})),
+    # the union's bottom comb node (v2,v3) fails first
+    ([], 4, {0: 1, 1: 2, 2: 2, 3: 3}, ({2}, {3})),
     # the join (v0,v1) and the union's second comb node both fail; the join
-    # comes first in preorder
+    # comes first in id order
     ([(0, 1), (3, 4), (3, 5), (4, 5)], 6, {0: 1, 1: 1, 2: 4, 3: 3, 4: 1, 5: 2},
      ({1}, {1})),
+    # the join (v4,v5) fails K2 below the root union, which fails K3
     ([(0, 1), (3, 4), (3, 5), (4, 5)], 6, {0: 1, 1: 2, 2: 3, 3: 3, 4: 1, 5: 1},
-     ({1, 2}, {1, 3})),
+     ({1}, {1})),
+    # the fresh color 99 of v3 fails at the union (v3,v5) and at the root
+    # union; the union below is met first
+    ([(0, 3), (0, 5), (1, 2), (1, 4), (2, 4)], 6,
+     {0: 2, 1: 3, 2: 2, 3: 99, 4: 1, 5: 1}, ({99}, {1})),
 ])
 def test_reconstruct_cotree_pinned_certificates(edges, n, c, certificate):
     with pytest.raises(NotHcColoringError) as exc:
@@ -280,40 +286,32 @@ def test_is_hc_coloring_decides_as_the_per_node_pass():
     assert rejections == 4404
 
 
-# -- verify_hc's depth-only tie-break against the preorder tie-break ----------
+# -- verify_hc reports the first failing node in postorder ---------------------
 
-def preorder_verify_hc(g, t, c):
-    """Reference: collect every failing node, then report the deepest,
-    ties broken by smallest preorder index."""
+def postorder_failures(g, t, c):
+    """Reference: the verdict for every node failing K2 or K3, in the order
+    of a walk from the root that finishes each node after its children,
+    left to right."""
     bit, palette = _color_bits(c)
-    masks = [0] * t.n_nodes()
-    failures = []
-    for u in t.postorder():
+    masks, failures = {}, []
+    for u in reference_postorder(t):
         if t.is_leaf(u):
             masks[u] = bit[t.vertex[u]]
             continue
         m1, m2 = (masks[k] for k in t.children[u])
         masks[u] = m1 | m2
         if t.label[u] == 1 and m1 & m2:
-            failures.append((u, "K2", m1, m2))
+            axiom = "K2"
         elif t.label[u] == 0 and m1 & ~m2 and m2 & ~m1:
-            failures.append((u, "K3", m1, m2))
-    if not failures:
-        return Verdict(True)
-    depth, preorder, stack = {t.root: 0}, {}, [t.root]
-    while stack:
-        u = stack.pop()
-        preorder[u] = len(preorder)
-        for k in reversed(t.children[u]):
-            depth[k] = depth[u] + 1
-            stack.append(k)
-    node, axiom, m1, m2 = min(
-        failures, key=lambda f: (-depth[f[0]], preorder[f[0]]))
-    return Verdict(False, node=node, axiom=axiom,
-                   sets=(_colors(m1, palette), _colors(m2, palette)))
+            axiom = "K3"
+        else:
+            continue
+        failures.append(Verdict(False, node=u, axiom=axiom, sets=(
+            _colors(m1, palette), _colors(m2, palette))))
+    return failures
 
 
-def test_verify_hc_tie_break_matches_preorder():
+def test_verify_hc_reports_the_first_failure_in_postorder():
     rng = random.Random(11)
     rejections = 0
     for seed in range(600):
@@ -323,6 +321,17 @@ def test_verify_hc_tie_break_matches_preorder():
         k = rng.randint(1, g.n)
         c = {v: rng.randint(1, k) for v in range(g.n)}
         verdict = verify_hc(g, t, c, check_tree=False)
-        assert verdict == preorder_verify_hc(g, t, c)
-        rejections += not verdict.accepted
+        failures = postorder_failures(g, t, c)
+        if not failures:
+            assert verdict == Verdict(True)
+            continue
+        rejections += 1
+        assert verdict == failures[0]
+        # no node below the reported one fails
+        below, stack = set(), list(t.children[verdict.node])
+        while stack:
+            u = stack.pop()
+            below.add(u)
+            stack.extend(t.children[u])
+        assert not below & {f.node for f in failures}
     assert rejections > 400
