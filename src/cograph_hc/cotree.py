@@ -370,10 +370,16 @@ def to_binary(t: Cotree, strategy: str = "left-comb") -> Cotree:
 
     `left-comb` keeps child order; `chi-ascending` first sorts children of
     0-nodes by ascending chromatic number (stable, so canonical order breaks
-    ties), which groups equal-chromatic children contiguously.
+    ties), which groups equal-chromatic children contiguously. A binary
+    tree's left comb is a copy of its arrays, as its ids are a postorder.
     """
     if strategy not in ("left-comb", "chi-ascending"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "left-comb" and is_binary(t):
+        out = Cotree(t.names)
+        out.label, out.children = t.label.copy(), t.children.copy()
+        out.vertex, out.root = t.vertex.copy(), t.root
+        return out
     order = t.children
     if strategy == "chi-ascending":
         chi = node_chromatic_numbers(t)
@@ -469,21 +475,27 @@ _NAME = re.compile(r"[^(),;\s]+")
 _TOKEN = re.compile(r"[(,;]|\)[^(),;\s]*|[^(),;\s]+")
 
 
-def _newick_spans(t: Cotree) -> tuple[str, list[int], list[int]]:
-    """Newick text of t without the ";", and each node's [start, end) span
-    in it. One preorder walk over an explicit stack (~u closes u) appends
-    tokens to one list that is joined once, so memory stays linear at any
-    depth. A vertex name that Newick cannot hold raises ValueError."""
-    # each name is checked once; the default names v0, v1, ... read back
+def _newick_names(t: Cotree) -> tuple[str, ...]:
+    """t's vertex names, each checked once: one that Newick cannot hold
+    raises ValueError. The default names v0, v1, ... read back."""
     for name in filterfalse(_NAME.fullmatch, t.names or ()):
         raise ValueError(f"vertex name {name!r} cannot be written to Newick")
-    names = t.vertex_names()
-    label, children, vertex = t.label, t.children, t.vertex
+    return t.vertex_names()
+
+
+def _newick_spans(label: Sequence[int], children: Sequence[tuple[int, ...]],
+                  vertex: Sequence[int], root: int, names: Sequence[str]
+                  ) -> tuple[str, list[int], list[int]]:
+    """Newick text without the ";" of the tree held by the arrays and
+    names (checked by `_newick_names`), and each node's [start, end) span
+    in it. One preorder walk over an explicit stack (~u closes u) appends
+    tokens to one list that is joined once, so memory stays linear at any
+    depth."""
     start = [0] * len(label)
     end = [0] * len(label)
     out: list[str] = []
     pos = 0
-    stack = [t.root]
+    stack = [root]
     while stack:
         u = stack.pop()
         if u >= 0:
@@ -510,7 +522,8 @@ def _newick_spans(t: Cotree) -> tuple[str, list[int], list[int]]:
 def newick_write(t: Cotree) -> str:
     """Newick text of t; a vertex name that would not read back (empty, or
     holding whitespace or one of "(),;") raises ValueError."""
-    return _newick_spans(t)[0] + ";"
+    return _newick_spans(t.label, t.children, t.vertex, t.root,
+                         _newick_names(t))[0] + ";"
 
 
 def newick_read(s: str) -> Cotree:

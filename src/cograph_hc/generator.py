@@ -15,34 +15,38 @@ identical (graph, cotree) pair.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import Graph
 from .cotree import Cotree, _emitted, realized_graph
 
 
-@dataclass(frozen=True)
-class GenParams:
-    """Parameters of the random cotree model.
+class _Params(NamedTuple):
+    n: int
+    seed: int = 0
+    max_arity: int = 3
+    balance: float = 0.5
+
+
+class GenParams(_Params):
+    """Parameters of the random cotree model, checked when made.
 
     `balance` is the probability that an inner child flips its parent's
     label (1.0 yields a discriminating cotree); the root is a join with
     probability `balance` as well.
     """
 
-    n: int
-    seed: int = 0
-    max_arity: int = 3
-    balance: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, seed: int = 0, max_arity: int = 3,
+                balance: float = 0.5) -> GenParams:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.max_arity < 2:
+        if max_arity < 2:
             raise ValueError("max_arity must be >= 2")
-        if not 0.0 <= self.balance <= 1.0:
+        if not 0.0 <= balance <= 1.0:
             raise ValueError("balance must be in [0, 1]")
+        return super().__new__(cls, n, seed, max_arity, balance)
 
 
 def random_cograph(p: GenParams) -> tuple[Graph, Cotree]:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .graph import Graph
-from .cotree import Cotree, _cotree_of, _emitted, _newick_spans, \
-    is_binary, node_chromatic_numbers
+from .cotree import Cotree, _cotree_of, _emitted, _newick_names, \
+    _newick_spans, is_binary, node_chromatic_numbers
 
 if TYPE_CHECKING:
     from .coloring import Coloring
@@ -143,50 +143,87 @@ def reconstruct_cotree(g: Graph, c: Coloring) -> Cotree:
 # -- counting -------------------------------------------------------------------
 
 class NodeCount:
-    """One node of a count: `partitions`, its hc-colorings up to color
-    renaming, `colors`, the size of the color set used below it, and
-    `path`, its subtree as Newick. The path is kept as the node's
-    [start, end) span of the report's one Newick text and sliced on each
-    access, so a report holds that text once, not a copy per node. Two
+    """One node of a count, made when its report's `per_node` is indexed:
+    `partitions`, its hc-colorings up to color renaming, `colors`, the
+    size of the color set used below it, and `path`, its subtree as
+    Newick, sliced from the report's one Newick text on each access. Two
     are equal when the three values are."""
 
-    __slots__ = ("_text", "_start", "_end", "_partitions", "_colors")
+    __slots__ = ("_nodes", "_u")
 
-    def __init__(self, text: str, start: int, end: int, partitions: int,
-                 colors: int):
-        self._text, self._start, self._end = text, start, end
-        self._partitions, self._colors = partitions, colors
+    def __init__(self, nodes: _PerNode, u: int):
+        self._nodes, self._u = nodes, u
 
     @property
     def path(self) -> str:
-        return self._text[self._start:self._end]
+        text, start, end = self._nodes._spans()
+        return text[start[self._u]:end[self._u]]
 
     @property
     def partitions(self) -> int:
-        return self._partitions
+        return self._nodes._count[self._u]
 
     @property
     def colors(self) -> int:
-        return self._colors
+        return self._nodes._size[self._u]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NodeCount):
             return NotImplemented
-        return (self._partitions == other._partitions
-                and self._colors == other._colors
-                and self.path == other.path)
+        return (self.partitions == other.partitions
+                and self.colors == other.colors and self.path == other.path)
 
     def __hash__(self) -> int:
-        return hash((self.path, self._partitions, self._colors))
+        return hash((self.path, self.partitions, self.colors))
 
     def __repr__(self) -> str:
         return (f"NodeCount(path={self.path!r}, "
-                f"partitions={self._partitions!r}, colors={self._colors!r})")
+                f"partitions={self.partitions!r}, colors={self.colors!r})")
+
+
+class _PerNode(Sequence[NodeCount]):
+    """A count's nodes in postorder, the root last, read-only: the
+    counting pass's two lists, and a snapshot of the tree (its three
+    arrays, root and checked names) from which the Newick text and spans
+    are written once, on first use."""
+
+    __slots__ = ("_count", "_size", "_tree", "_text")
+
+    def __init__(self, count: list[int], size: list[int], tree: tuple):
+        self._count, self._size, self._tree = count, size, tree
+        self._text: tuple[str, list[int], list[int]] | None = None
+
+    def _spans(self) -> tuple[str, list[int], list[int]]:
+        if self._text is None:
+            self._text = _newick_spans(*self._tree)
+            self._tree = None
+        return self._text
+
+    def __len__(self) -> int:
+        return len(self._count)
+
+    def __getitem__(self, i: int) -> NodeCount:
+        n = len(self._count)
+        if not -n <= i < n:  # a slice raises TypeError here
+            raise IndexError("per_node index out of range")
+        return NodeCount(self, i % n)
+
+    def __iter__(self) -> Iterator[NodeCount]:
+        return (NodeCount(self, u) for u in range(len(self._count)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _PerNode):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 @dataclass(frozen=True)
 class CountReport:
-    per_node: tuple[NodeCount, ...]
+    per_node: _PerNode
     labeled_total: int
 
     def render(self) -> str:
@@ -195,16 +232,17 @@ class CountReport:
     def _lines(self) -> Iterator[str]:
         """The rendered report a line at a time, each path read from its
         span: the report is never held whole to be written out."""
-        # no count exceeds labeled_total, so str() serves unless it is long
-        dec = str if self.labeled_total.bit_length() <= 8192 else _decimal
-        for nc in self.per_node:
-            yield (f"node {nc._text[nc._start:nc._end]} "
-                   f"N {dec(nc._partitions)} s {nc._colors}\n")
-        yield f"labeled_total {dec(self.labeled_total)}\n"
+        nodes = self.per_node
+        text, start, end = nodes._spans()
+        for a, b, n, s in zip(start, end, nodes._count, nodes._size):
+            if n.bit_length() > 8192:  # str() serves unless n is long
+                n = _decimal(n)
+            yield f"node {text[a:b]} N {n} s {s}\n"
+        yield f"labeled_total {_decimal(self.labeled_total)}\n"
 
     @property
     def root_partitions(self) -> int:
-        return self.per_node[-1].partitions
+        return self.per_node._count[-1]
 
 
 def _decimal(x: int, width: int = 0) -> str:
@@ -226,34 +264,33 @@ def _count(t: Cotree) -> CountReport:
     holds the color set, of size s = size[best], and every other child c
     injects into it: count[best] times count[c] * math.perm(s, size[c])
     per other child. The labeled total names the root's colors:
-    count[root] * s!. Each node keeps its span of the tree's Newick text,
-    written once, so a vertex name Newick cannot hold raises ValueError.
+    count[root] * s!. The vertex names are checked here, so a name Newick
+    cannot hold raises ValueError before any text is written.
     """
-    text, start, end = _newick_spans(t)
-    count = [0] * t.n_nodes()
-    size = [0] * t.n_nodes()
-    per_node = []
-    for u in t.postorder():
-        kids = t.children[u]
+    names = _newick_names(t)
+    label, children = t.label, t.children
+    count = [1] * len(label)
+    size = [1] * len(label)
+    size_of, perm = size.__getitem__, math.perm
+    for u, kids in enumerate(children):
         if not kids:
-            count[u], size[u] = 1, 1
-        elif t.label[u] == 1:
+            continue
+        if label[u] == 1:
             n, s = 1, 0
             for c in kids:
                 n *= count[c]
                 s += size[c]
-            count[u], size[u] = n, s
         else:
-            best = max(kids, key=size.__getitem__)  # the first maximum
+            best = max(kids, key=size_of)  # the first maximum
             s = size[best]
             n = count[best]
             for c in kids:
                 if c != best:
-                    n *= count[c] * math.perm(s, size[c])
-            count[u], size[u] = n, s
-        per_node.append(NodeCount(text, start[u], end[u], count[u], size[u]))
+                    n *= count[c] * perm(s, size[c])
+        count[u], size[u] = n, s
+    tree = (label.copy(), children.copy(), t.vertex.copy(), t.root, names)
     root = t.root
-    return CountReport(tuple(per_node),
+    return CountReport(_PerNode(count, size, tree),
                        count[root] * math.factorial(size[root]))
 
 

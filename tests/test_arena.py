@@ -200,9 +200,10 @@ def rendered(report):
     """What `render` writes, by spans: each node's [start, end) in the one
     Newick text, its two counts, and the total. A depth-10^4 caterpillar
     renders 521 MB; these are linear in the tree."""
-    return (report.per_node[-1].path, report.labeled_total,
-            [(nc._start, nc._end, nc.partitions, nc.colors)
-             for nc in report.per_node])
+    nodes = report.per_node
+    _, start, end = nodes._spans()
+    return (nodes[-1].path, report.labeled_total,
+            list(zip(start, end, nodes._count, nodes._size)))
 
 
 def assert_same_outcomes(g, t, ref, colorings):

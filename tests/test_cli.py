@@ -478,6 +478,9 @@ def test_each_command_loads_only_what_it_runs(files):
     code, loaded = _loaded_by("count", g)
     assert code == 0 and "cograph_hc.coloring" not in loaded
     assert "cograph_hc.hc_algorithms" in loaded
+    # `GenParams` is a NamedTuple: `gen` loads neither dataclasses nor inspect
+    assert _loaded_by("gen", "--n", "30", "--seed", "4") == (
+        0, ["cograph_hc.generator"])
 
 
 def test_every_subcommand_runs_in_a_fresh_interpreter(tmp_path, monkeypatch,

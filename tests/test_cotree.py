@@ -11,7 +11,7 @@ from cograph_hc import (Cotree, GenParams, Graph, NotACographError,
                         newick_read, newick_write, random_cograph,
                         realized_graph, realizes, reconstruct_cotree,
                         to_binary)
-from cograph_hc.cotree import LEAF, _cotree_of, _find_p4_in
+from cograph_hc.cotree import LEAF, _cotree_of, _emitted, _find_p4_in
 from cograph_hc.graph import bits
 from cograph_hc.oracle import find_induced_p4
 from conftest import assert_numbered_in_postorder, caterpillar_spec, \
@@ -373,6 +373,37 @@ def test_to_binary_left_comb(k2_k1_k1):
     assert realized_graph(b).adj == k2_k1_k1.adj
     assert newick_write(b) == "(((a,b)1,c)0,d)0;"
     assert to_binary(b) == b  # binary input unchanged
+
+
+def emitted_left_comb(t):
+    """Reference: the tree re-emitted node by node as a left comb."""
+    return _emitted(t.label, t.children, t.vertex, t.root, t.names,
+                    comb="left")
+
+
+def assert_copied_as_emitted(t):
+    b, want = to_binary(t, "left-comb"), emitted_left_comb(t)
+    assert b == want and b.names == want.names
+    assert_numbered_in_postorder(b)
+    for got, mine in zip((b.label, b.children, b.vertex),
+                         (t.label, t.children, t.vertex)):
+        assert got is not mine  # new arrays: editing one leaves the other
+
+
+def test_to_binary_of_a_binary_tree_is_a_copy_of_its_arrays(small_cographs):
+    from cograph_hc.oracle import all_binary_cotrees
+    trees = 0
+    for g in small_cographs:
+        for t in all_binary_cotrees(g):
+            assert_copied_as_emitted(t)
+            trees += 1
+    assert trees == 1815
+    for left in (False, True):
+        spec = 1999
+        for v in range(1998, -1, -1):
+            spec = (v % 2, spec, v) if left else (v % 2, v, spec)
+        assert_copied_as_emitted(tree_of(spec, names=tuple(
+            f"x{v}" for v in range(2000))))
 
 
 def test_to_binary_chi_ascending(k2_k1_k1):

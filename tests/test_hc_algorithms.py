@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -12,8 +13,10 @@ from cograph_hc import (Cotree, GenParams, Graph, InjectionChooser,
                         is_hc_coloring, newick_read, newick_write,
                         random_cograph, realized_graph, realizes,
                         reconstruct_cotree, to_binary, verify_hc)
-from cograph_hc.cotree import align_to_graph
-from cograph_hc.hc_algorithms import _count, _recolor_top_down
+from cograph_hc import hc_algorithms
+from cograph_hc.cotree import _newick_names, _newick_spans, align_to_graph
+from cograph_hc.generator import exhaustive_cographs
+from cograph_hc.hc_algorithms import _count, _decimal, _recolor_top_down
 from cograph_hc.oracle import (all_binary_cotrees, brute_chromatic,
                                enumerate_alg1_outputs, proper_partitions)
 from conftest import g_injections, is_discriminating, tree_of
@@ -561,6 +564,166 @@ def test_count_matches_references_on_a_deep_caterpillar():
     t = caterpillar(1000)
     assert triples(count_hc_wrt(t)) == reference_count_wrt(t)
     assert_counts_as_references(realized_graph(t))
+
+
+# -- the count report against the pass it replaced -----------------------------
+
+def parent_count(t):
+    """Reference: the counting pass that built one record per node in its
+    loop after writing the whole Newick text, and its rendering. Returns
+    each node's (path, partitions, colors), the rendered report, the root
+    count and the labeled total."""
+    text, start, end = _newick_spans(t.label, t.children, t.vertex, t.root,
+                                     _newick_names(t))
+    count = [0] * t.n_nodes()
+    size = [0] * t.n_nodes()
+    per_node = []
+    for u in t.postorder():
+        kids = t.children[u]
+        if not kids:
+            count[u], size[u] = 1, 1
+        elif t.label[u] == 1:
+            n, s = 1, 0
+            for c in kids:
+                n *= count[c]
+                s += size[c]
+            count[u], size[u] = n, s
+        else:
+            best = max(kids, key=size.__getitem__)  # the first maximum
+            s = size[best]
+            n = count[best]
+            for c in kids:
+                if c != best:
+                    n *= count[c] * math.perm(s, size[c])
+            count[u], size[u] = n, s
+        per_node.append((text[start[u]:end[u]], count[u], size[u]))
+    total = count[t.root] * math.factorial(size[t.root])
+    dec = str if total.bit_length() <= 8192 else _decimal
+    rendered = "".join(f"node {path} N {dec(n)} s {s}\n"
+                       for path, n, s in per_node)
+    rendered += f"labeled_total {dec(total)}\n"
+    return per_node, rendered, per_node[-1][1], total
+
+
+def assert_reports_as_parent(report, t):
+    per_node, rendered, root, total = parent_count(t)
+    nodes = report.per_node
+    assert len(nodes) == len(per_node)
+    for u, (path, n, s) in enumerate(per_node):
+        nc = nodes[u]
+        assert (nc.path, nc.partitions, nc.colors) == (path, n, s)
+        assert repr(nc) == \
+            f"NodeCount(path={path!r}, partitions={n!r}, colors={s!r})"
+    assert report.render() == rendered
+    assert "".join(report._lines()) == rendered
+    assert (report.root_partitions, report.labeled_total) == (root, total)
+
+
+def test_count_reports_as_the_parent_pass_on_all_cotrees_up_to_6():
+    graphs = 0
+    for n in range(1, 7):
+        for g in exhaustive_cographs(n):
+            t = build_cotree(g)
+            assert_reports_as_parent(count_hc_total(g), t)
+            comb = to_binary(t, "left-comb")
+            assert_reports_as_parent(count_hc_wrt(comb), comb)
+            graphs += 1
+    assert graphs == 6039
+
+
+@pytest.mark.parametrize("n", [300, 3000])
+def test_count_reports_as_the_parent_pass_on_random_cographs(n):
+    for seed in range(2):
+        g, _ = random_cograph(GenParams(n=n, seed=seed, max_arity=4))
+        t = build_cotree(g)
+        assert_reports_as_parent(count_hc_total(g), t)
+        comb = to_binary(t, "chi-ascending")
+        assert_reports_as_parent(count_hc_wrt(comb), comb)
+
+
+def test_count_reports_as_the_parent_pass_on_a_depth_2000_caterpillar():
+    for t in (caterpillar(2000), caterpillar(2000, left=True)):
+        assert_reports_as_parent(count_hc_wrt(t), t)
+    g = realized_graph(caterpillar(2000))
+    assert_reports_as_parent(count_hc_total(g), build_cotree(g))
+
+
+def test_count_writes_newick_only_when_a_path_is_read(monkeypatch):
+    writes = []
+
+    def counted(*tree):
+        writes.append(len(tree[0]))
+        return _newick_spans(*tree)
+
+    monkeypatch.setattr(hc_algorithms, "_newick_spans", counted)
+    g, _ = random_cograph(GenParams(n=3000, seed=7))
+    report = count_hc_total(g)
+    nodes = report.per_node
+    assert len(nodes) > 3000 and nodes[-1] is not nodes[-1]
+    assert report.root_partitions == nodes[-1].partitions
+    assert sum(nc.colors for nc in nodes) > 0 and report.labeled_total > 0
+    assert writes == []
+    root_path = nodes[-1].path
+    assert writes == [len(nodes)]
+    assert report.render().endswith(
+        f"node {root_path} N {report.root_partitions} s {nodes[-1].colors}"
+        f"\nlabeled_total {report.labeled_total}\n")
+    list(report._lines())
+    assert nodes[0].path and writes == [len(nodes)]
+
+
+def test_count_checks_vertex_names_before_any_text():
+    t = caterpillar(5, names=("a", "b", "c(", "d", "e"))
+    with pytest.raises(ValueError, match="'c\\(' cannot be written"):
+        count_hc_wrt(t)
+
+
+def test_count_report_is_a_snapshot_of_the_tree():
+    names = tuple(f"x{v}" for v in range(40))
+    t = caterpillar(40, names=names)
+    want = count_hc_wrt(caterpillar(40, names=names)).render()
+    report = count_hc_wrt(t)
+    t.names = tuple(reversed(names))
+    t.label[:] = [1 - lab if lab >= 0 else lab for lab in t.label]
+    t.root = t.add_inner(1, [t.root, t.add_leaf(40)])
+    assert report.render() == want
+    assert report.per_node[-1].path == want.splitlines()[-2].split()[1]
+
+
+def test_count_report_replaces_its_total():
+    g, _ = random_cograph(GenParams(n=50, seed=2))
+    report = count_hc_total(g)
+    other = dataclasses.replace(report, labeled_total=report.labeled_total + 1)
+    assert other.per_node is report.per_node and other != report
+    assert other.render() == report.render().replace(
+        f"labeled_total {report.labeled_total}\n",
+        f"labeled_total {report.labeled_total + 1}\n")
+
+
+def test_per_node_is_a_read_only_sequence(k2_k1_k1):
+    report = count_hc_total(k2_k1_k1)
+    nodes = report.per_node
+    assert len(nodes) == 6
+    assert [nc.path for nc in nodes] == \
+        ["a", "b", "(a,b)1", "c", "d", "((a,b)1,c,d)0"]
+    assert nodes[-1] == nodes[5] and nodes[-6] == nodes[0]
+    assert (nodes[-1].partitions, nodes[-1].colors) == (4, 2)
+    with pytest.raises(IndexError):
+        nodes[6]
+    with pytest.raises(IndexError):
+        nodes[-7]
+    with pytest.raises(TypeError):
+        nodes[1:3]
+    items = tuple(nodes)
+    assert len(items) == 6 and items[2] == nodes[2]
+    assert nodes == count_hc_total(k2_k1_k1).per_node
+    assert report == count_hc_total(k2_k1_k1)
+    assert hash(report) == hash(count_hc_total(k2_k1_k1))
+    assert nodes != count_hc_wrt(to_binary(build_cotree(k2_k1_k1))).per_node
+    assert list(reversed(nodes)) == list(items[::-1])
+    assert nodes.index(nodes[2]) == 2 and nodes[3] in nodes
+    with pytest.raises(TypeError):
+        nodes[0] = nodes[1]
 
 
 def test_exhaustive_outputs_cover_hc_set(k2_k1_k1):
