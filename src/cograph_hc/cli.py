@@ -49,9 +49,12 @@ def _read_text(path: str) -> str:
 
 def _load_graph(path: str) -> gr.Graph:
     try:
-        return gr.read_edge_list(_read_text(path))
+        g = gr.read_edge_list(_read_text(path))
     except gr.GraphFormatError as exc:
         raise _CliError(f"{path}: {exc}") from exc
+    if not g.n:
+        raise _CliError("empty-graph")
+    return g
 
 
 def _load_cotree(path: str, g: gr.Graph) -> ct.Cotree:
@@ -152,17 +155,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         t = _load_cotree(args.cotree, g)
         if not ct.is_binary(t):
             print("note: refined non-binary cotree to binary (left-comb)")
-            t = ct.to_binary(t, "left-comb")
-        verdict = col.verify_hc(g, t, c, check_tree=False)
+        verdict, kid = col._hc_fold(t, c, "left")
         if verdict.accepted:
             print("ACCEPT")
             return 0
-        # ids are a postorder: the node's subtree is its leftmost leaf's
-        # id up to its own
+        # ids are a postorder: the failing comb node, over the node's
+        # children up to kid, spans its leftmost leaf's id up to kid
         first = verdict.node
         while t.children[first]:
             first = t.children[first][0]
-        leaves = sorted(names[t.vertex[u]] for u in range(first, verdict.node)
+        leaves = sorted(names[t.vertex[u]] for u in range(first, kid + 1)
                         if t.label[u] == ct.LEAF)
         s1, s2 = (sorted(s) for s in verdict.sets)
         print(f"{verdict.axiom} violation at node over "

@@ -141,7 +141,49 @@ def is_greedy(g: Graph, c: Coloring) -> bool:
     return _greedy_witness(g, c) is None
 
 
-# -- verification against a fixed binary cotree ------------------------------
+# -- the verdict fold: K2 and K3 on a comb of every inner node ----------------
+
+def _hc_fold(t: Cotree, c: Coloring, comb: str) -> tuple[Verdict, list | int]:
+    """Check K2 and K3 on a binary refinement of t in one bottom-up pass.
+
+    Each inner node is a comb over its children, folded one at a time
+    with `seen`, the OR of the color masks so far: the next child's mask
+    must be disjoint from it at a join (K2) and nested with it at a union
+    (K3). `left` folds in child order, the left comb of `to_binary`, and
+    reports (seen, next). `right`, the right comb of `reconstruct_cotree`,
+    folds a join from its last child and a union, stably sorted by
+    ascending set size, from its largest, and reports (next, seen). Nodes
+    go in id order, a postorder, each comb from the bottom up, and the
+    pass returns at the first failure, so no node below it fails.
+
+    Returns the verdict and, on acceptance, per node its children in comb
+    order, or on rejection the failing next child.
+    """
+    bit, palette = _color_bits(c)
+    label, vertex = t.label, t.vertex
+    right = comb == "right"
+    order = list(t.children) if right else t.children
+    masks = [0] * len(order)
+    for u, kids in enumerate(order):
+        if not kids:
+            masks[u] = bit[vertex[u]]
+            continue
+        join = label[u] == 1
+        if right and not join:
+            kids = order[u] = sorted(kids, key=lambda k: masks[k].bit_count())
+        kids = reversed(kids) if right else iter(kids)
+        seen = masks[next(kids)]
+        for k in kids:
+            m = masks[k]
+            inter = seen & m
+            if inter if join else inter != seen and inter != m:
+                sets = (m, seen) if right else (seen, m)
+                return Verdict(False, u, "K2" if join else "K3", tuple(
+                    _colors(s, palette) for s in sets)), k
+            seen |= m
+        masks[u] = seen
+    return Verdict(True), order
+
 
 def verify_hc(g: Graph, t: Cotree, c: Coloring,
               check_tree: bool = True) -> Verdict:
@@ -159,81 +201,22 @@ def verify_hc(g: Graph, t: Cotree, c: Coloring,
             raise ValueError("cotree-not-binary")
         if not realizes(t, g):
             raise ValueError("cotree-graph-mismatch")
-    label = t.label
-    children = t.children
-    vertex = t.vertex
-    bit, palette = _color_bits(c)
-    masks = [0] * t.n_nodes()
-    for u in t.postorder():
-        if label[u] == -1:
-            masks[u] = bit[vertex[u]]
-            continue
-        a, b = children[u]
-        m1, m2 = masks[a], masks[b]
-        masks[u] = m1 | m2
-        if label[u] == 1:
-            if m1 & m2:
-                axiom = "K2"
-                break
-        else:
-            inter = m1 & m2
-            if inter != m1 and inter != m2:
-                axiom = "K3"
-                break
-    else:
-        return Verdict(True)
-    return Verdict(False, node=u, axiom=axiom,
-                   sets=(_colors(m1, palette), _colors(m2, palette)))
-
-
-# -- existential decision (over all binary cotrees) ---------------------------
-
-def _hc_refinement(t: Cotree, c: Coloring) -> tuple[Verdict, list]:
-    """Whether c is hc w.r.t. some binary refinement of the discriminating
-    cotree t, and per node its children in comb order.
-
-    One bottom-up pass with color bitmasks: a join becomes a right comb in
-    child order, a union one in stable ascending order of color-set size.
-    At each comb node the first child's set must be disjoint from (join,
-    K2) or contained in (union, K3) the rest's. A rejection carries both
-    sets of the first failing comb node, with nodes in id order and each
-    node's comb from the bottom up, and returns there: its order is partial.
-    """
-    bit, palette = _color_bits(c)
-    label, vertex = t.label, t.vertex
-    order = list(t.children)
-    masks = [0] * len(order)
-    for u, kids in enumerate(order):
-        if not kids:
-            masks[u] = bit[vertex[u]]
-            continue
-        lab = label[u]
-        if lab == 0:
-            kids = order[u] = sorted(kids, key=lambda k: masks[k].bit_count())
-        rest = masks[kids[-1]]
-        for k in reversed(kids[:-1]):  # comb nodes from the bottom up
-            m = masks[k]
-            if (m & rest) if lab == 1 else (m & ~rest):
-                return Verdict(False, axiom="K2" if lab == 1 else "K3",
-                               sets=(_colors(m, palette),
-                                     _colors(rest, palette))), order
-            rest |= m
-        masks[u] = rest
-    return Verdict(True), order
+    return _hc_fold(t, c, "left")[0]
 
 
 def is_hc_coloring(g: Graph, c: Coloring) -> Verdict:
     """Decide whether c is an hc-coloring w.r.t. some binary cotree.
 
     A join needs pairwise disjoint child color sets, a union one child set
-    equal to the union of all. Both are decided on the refinement
-    `reconstruct_cotree` returns (`_hc_refinement`). The certificate is the
-    (first, rest) pair of the first failing comb node that pass meets:
-    sets that meet (K2), or neither containing the other (K3; rest is the
-    larger). `verify` prints this pair for hc=no.
+    equal to the union of all. Both are decided on the right-comb
+    refinement of the discriminating cotree that `reconstruct_cotree`
+    returns (`_hc_fold`). The certificate is the failing node of the
+    discriminating cotree and the (first, rest) pair of the first failing
+    comb node the fold meets: sets that meet (K2), or neither containing
+    the other (K3; rest is the larger). `verify` prints this pair for hc=no.
     """
     _check_domain(g, c)
-    return _hc_refinement(_cotree_of(g), c)[0]
+    return _hc_fold(_cotree_of(g), c, "right")[0]
 
 
 # -- coloring file format ------------------------------------------------------

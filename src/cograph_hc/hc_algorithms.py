@@ -127,14 +127,14 @@ def alg1_color(g: Graph,
 def reconstruct_cotree(g: Graph, c: Coloring) -> Cotree:
     """Recover a binary cotree witnessing that c is an hc-coloring: the
     refinement `is_hc_coloring` decides on, each node's children combed in
-    the order `_hc_refinement` gives. Else NotHcColoringError carries the
-    sets of `is_hc_coloring`'s verdict."""
+    the order `_hc_fold` gives. Else NotHcColoringError carries the sets
+    of `is_hc_coloring`'s verdict."""
     # imported here, the one use, so that counting never loads coloring
-    from .coloring import _check_domain, _hc_refinement
+    from .coloring import _check_domain, _hc_fold
 
     _check_domain(g, c)
     t = _cotree_of(g)
-    verdict, order = _hc_refinement(t, c)
+    verdict, order = _hc_fold(t, c, "right")
     if not verdict:
         raise NotHcColoringError(verdict.sets)
     return _emitted(t.label, order, t.vertex, t.root, t.names, comb="right")

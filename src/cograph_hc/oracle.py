@@ -11,7 +11,7 @@ subset table of color bitmasks against every such tree, and greedy-ness
 from enumerating every vertex order. Each check still calls the fast path
 it tests: `greedy_coloring`, `is_greedy`, `count_hc_wrt`, and the tree
 passes behind `is_hc_coloring`, `alg1_color` and `count_hc_total`
-(`_hc_refinement`, `_recolor_top_down`, `_count`), all run on the one
+(`_hc_fold`, `_recolor_top_down`, `_count`), all run on the one
 discriminating cotree `build_cotree` gives for the instance. Size guards
 raise instead of silently taking forever.
 
@@ -35,7 +35,7 @@ from functools import cached_property
 
 from .graph import Graph, bits
 from .cotree import Cotree, P4Witness, _cotree_of
-from .coloring import Coloring, _hc_refinement, greedy_coloring, is_greedy
+from .coloring import Coloring, _hc_fold, greedy_coloring, is_greedy
 from .hc_algorithms import InjectionChooser, _count, _recolor_top_down, \
     count_hc_wrt
 
@@ -632,7 +632,7 @@ def _check_t3(rep: TheoremReport, idx: int, ctx: _GraphCtx,
     """is_hc_coloring == exists-cotree brute force == direct recursive
     minimality, over all proper partitions."""
     for c, brute in zip(ctx.partitions, ctx.accepted_mask):
-        fast = _hc_refinement(ctx.cotree, c)[0].accepted
+        fast = _hc_fold(ctx.cotree, c, "right")[0].accepted
         direct = ctx.recursively_minimal(c)
         if not (fast == brute == direct):
             rep.counterexamples.append((idx, c, fast, brute, direct))
@@ -648,7 +648,7 @@ def _check_t4(rep: TheoremReport, idx: int, ctx: _GraphCtx,
                 InjectionChooser("seeded-random", seed=rng.getrandbits(32))]
     for chooser in choosers:
         c = _recolor_top_down(t, chooser._images())
-        if not _hc_refinement(t, c)[0].accepted:
+        if not _hc_fold(t, c, "right")[0].accepted:
             rep.counterexamples.append((idx, chooser.strategy, c))
         elif not ctx.recursively_minimal(c):
             rep.counterexamples.append((idx, chooser.strategy, c, "direct"))

@@ -22,7 +22,7 @@ from cograph_hc import (Cotree, GenParams, Graph, NotHcColoringError,
                         P4Witness, alg1_color, build_cotree, count_hc_wrt,
                         greedy_coloring, realized_graph, reconstruct_cotree,
                         to_binary, verify_hc)
-from cograph_hc.coloring import _check_domain, _hc_refinement
+from cograph_hc.coloring import _check_domain, _hc_fold
 from cograph_hc.cotree import (LEAF, _cotree_of, _find_p4_in, _peel,
                                node_chromatic_numbers)
 from cograph_hc.generator import exhaustive_cographs, random_cograph
@@ -166,7 +166,7 @@ def reference_to_binary(t, strategy="left-comb"):
 def reference_reconstruct_cotree(g, c):
     _check_domain(g, c)
     t = _cotree_of(g)
-    verdict, order = _hc_refinement(t, c)
+    verdict, order = _hc_fold(t, c, "right")
     if not verdict:
         raise NotHcColoringError(verdict.sets)
     return walked(replaced_combed(t, order, range(len(order)), left=False))

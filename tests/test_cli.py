@@ -226,6 +226,27 @@ def test_every_command_answers_a_p4_with_one_line(files, capsys, monkeypatch,
     assert capsys.readouterr() == ("NOT-COGRAPH a b c d\n", "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["recognize"], ["cotree", "-o", "out"],
+    ["cotree", "--binary", "left-comb", "-o", "out"],
+    ["color", "--method", "greedy", "-o", "out"],
+    ["color", "--method", "alg1", "-o", "out"], ["verify", "c.txt"],
+    ["verify", "c.txt", "--cotree", "t.nwk"], ["count"],
+    ["count", "--cotree", "t.nwk"]],
+    ids=["recognize", "cotree", "cotree-binary", "color-greedy", "color-alg1",
+         "verify", "verify-cotree", "count", "count-cotree"])
+def test_every_command_refuses_an_empty_graph(files, capsys, monkeypatch,
+                                              tmp_path, argv):
+    # `n 0` has no answer: one line, exit 2, nothing on stdout and no file
+    monkeypatch.chdir(tmp_path)
+    files("g0.txt", "n 0\n")
+    files("c.txt", "")
+    files("t.nwk", "(v0,v1)0;\n")
+    assert main([argv[0], "g0.txt", *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: empty-graph\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("tree", [
     "((x,y)1,z,w)0;\n",   # names the graph does not have
     "((a,c)1,b,d)0;\n",   # the graph's names, another graph

@@ -8,23 +8,30 @@ bitmask verifiers, and the witnesses behind `is_proper` and `is_greedy`,
 with per-edge definitions.
 """
 
+import collections
+import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cograph_hc import (GenParams, Graph, InjectionChooser,
-                        NotHcColoringError, Verdict, alg1_color, build_cotree,
-                        exhaustive_cographs, greedy_coloring, is_binary,
-                        is_greedy, is_hc_coloring,
-                        is_proper, newick_write, random_cograph,
-                        realized_graph, realizes, reconstruct_cotree,
-                        to_binary, verify_hc)
-from cograph_hc.coloring import (_color_bits, _colors, _greedy_witness,
-                                 _improper_edge)
+                        NotHcColoringError, Verdict, alg1_color,
+                        align_to_graph, build_cotree, exhaustive_cographs,
+                        greedy_coloring, is_binary, is_greedy,
+                        is_hc_coloring, is_proper, newick_read, newick_write,
+                        random_cograph, realized_graph, realizes,
+                        reconstruct_cotree, to_binary, verify_hc,
+                        write_edge_list)
+from cograph_hc import cotree as cotree_module
+from cograph_hc.cli import main
+from cograph_hc.coloring import (_check_domain, _color_bits, _colors,
+                                 _greedy_witness, _hc_fold, _improper_edge)
 from cograph_hc.oracle import proper_partitions
-from conftest import chromatic_number, reference_postorder, tree_of
+from conftest import (caterpillar_spec, chromatic_number,
+                      reference_postorder, tree_of)
 
 
 def caterpillar(levels, leaves_per_level=1):
@@ -275,6 +282,11 @@ def test_is_hc_coloring_decides_as_the_per_node_pass():
                     continue
                 rejections += 1
                 first, rest = verdict.sets
+                # the node is the discriminating cotree's failing node
+                t = build_cotree(g)
+                mask = t.leaf_masks()[verdict.node]
+                assert t.label[verdict.node] == (verdict.axiom == "K2")
+                assert first | rest <= {c[v] for v in range(n) if mask >> v & 1}
                 if verdict.axiom == "K2":
                     assert first & rest
                 else:
@@ -335,3 +347,259 @@ def test_verify_hc_reports_the_first_failure_in_postorder():
             stack.extend(t.children[u])
         assert not below & {f.node for f in failures}
     assert rejections > 400
+
+
+# -- the verdict fold against the two passes it replaced ------------------------
+
+def parent_verify_hc(g, t, c, check_tree=True):
+    """Reference: `verify_hc` before the fold, a loop over the two
+    children of each node of a binary tree."""
+    _check_domain(g, c)
+    if check_tree:
+        if not is_binary(t):
+            raise ValueError("cotree-not-binary")
+        if not realizes(t, g):
+            raise ValueError("cotree-graph-mismatch")
+    label = t.label
+    children = t.children
+    vertex = t.vertex
+    bit, palette = _color_bits(c)
+    masks = [0] * t.n_nodes()
+    for u in t.postorder():
+        if label[u] == -1:
+            masks[u] = bit[vertex[u]]
+            continue
+        a, b = children[u]
+        m1, m2 = masks[a], masks[b]
+        masks[u] = m1 | m2
+        if label[u] == 1:
+            if m1 & m2:
+                axiom = "K2"
+                break
+        else:
+            inter = m1 & m2
+            if inter != m1 and inter != m2:
+                axiom = "K3"
+                break
+    else:
+        return Verdict(True)
+    return Verdict(False, node=u, axiom=axiom,
+                   sets=(_colors(m1, palette), _colors(m2, palette)))
+
+
+def parent_hc_refinement(t, c):
+    """Reference: `_hc_refinement` before the fold, which combed each
+    node of the discriminating cotree into a right comb in its head."""
+    bit, palette = _color_bits(c)
+    label, vertex = t.label, t.vertex
+    order = list(t.children)
+    masks = [0] * len(order)
+    for u, kids in enumerate(order):
+        if not kids:
+            masks[u] = bit[vertex[u]]
+            continue
+        lab = label[u]
+        if lab == 0:
+            kids = order[u] = sorted(kids, key=lambda k: masks[k].bit_count())
+        rest = masks[kids[-1]]
+        for k in reversed(kids[:-1]):  # comb nodes from the bottom up
+            m = masks[k]
+            if (m & rest) if lab == 1 else (m & ~rest):
+                return Verdict(False, axiom="K2" if lab == 1 else "K3",
+                               sets=(_colors(m, palette),
+                                     _colors(rest, palette))), order
+            rest |= m
+        masks[u] = rest
+    return Verdict(True), order
+
+
+def assert_fold_as_parent(g, t, combs, c):
+    """The fold against both references on one coloring: `verify_hc` on
+    each binary tree in combs, whole verdicts; the right fold on the
+    discriminating cotree t, all but the node, which the old pass did not
+    report, and the comb order on acceptance; and, when t is not binary,
+    the left fold of t against `verify_hc` of its left comb, combs[0]."""
+    wants = [parent_verify_hc(g, b, c, check_tree=False) for b in combs]
+    assert [verify_hc(g, b, c, check_tree=False) for b in combs] == wants
+    got, order = _hc_fold(t, c, "right")
+    want, want_order = parent_hc_refinement(t, c)
+    assert got._replace(node=None) == want
+    if got.accepted:
+        assert order == want_order
+    else:
+        assert t.label[got.node] == (1 if got.axiom == "K2" else 0)
+    if not is_binary(t):
+        assert _hc_fold(t, c, "left")[0].accepted == wants[0].accepted
+    return got.accepted
+
+
+def binary_trees(t):
+    """t's left comb, then its chi-ascending refinement when that is
+    another tree."""
+    b1, b2 = to_binary(t, "left-comb"), to_binary(t, "chi-ascending")
+    return (b1,) if b2 == b1 else (b1, b2)
+
+
+def test_fold_matches_the_parent_passes_on_every_small_coloring():
+    # every coloring with colors <= min(n, 4), proper or not, of the 535
+    # labeled cographs with n <= 5
+    graphs = colorings = accepted = 0
+    for n in range(1, 6):
+        for g in exhaustive_cographs(n):
+            graphs += 1
+            t = build_cotree(g)
+            combs = binary_trees(t)
+            for colors in itertools.product(range(1, min(n, 4) + 1),
+                                            repeat=n):
+                colorings += 1
+                accepted += assert_fold_as_parent(
+                    g, t, combs, dict(enumerate(colors)))
+    assert (graphs, colorings) == (535, 496865)
+    assert accepted > 0
+
+
+def caterpillar_with_spine(n, left):
+    """The depth-n caterpillar with its spine the right child of each node
+    (`caterpillar_spec`) or the left one."""
+    if not left:
+        return tree_of(caterpillar_spec(n))
+    spec = n - 1
+    for v in range(n - 2, -1, -1):
+        spec = (v % 2, spec, v)
+    return tree_of(spec)
+
+
+@pytest.mark.parametrize("source", ["random-300", "random-3000",
+                                    "caterpillar-right", "caterpillar-left"])
+def test_fold_matches_the_parent_passes_at_large_n(source):
+    kind, _, arg = source.partition("-")
+    if kind == "random":
+        g, _ = random_cograph(GenParams(n=int(arg), seed=5))
+    else:
+        g = realized_graph(caterpillar_with_spine(2000, arg == "left"))
+    t = build_cotree(g)
+    combs = binary_trees(t)
+    if kind == "caterpillar":  # the user's own binary tree too
+        combs += (align_to_graph(caterpillar_with_spine(2000, arg == "left"),
+                                 g),)
+    rng = random.Random(arg)
+    verdicts = []
+    for seed in range(3):
+        c, _ = alg1_color(g, InjectionChooser("seeded-random", seed=seed))
+        # a fresh color on a vertex that shares its class: chi + 1 colors
+        size = collections.Counter(c.values())
+        shared = [v for v in range(g.n) if size[c[v]] > 1]
+        planted = dict(c)
+        planted[rng.choice(shared)] = max(c.values()) + 1
+        verdicts += [assert_fold_as_parent(g, t, combs, c),
+                     assert_fold_as_parent(g, t, combs, planted)]
+    assert verdicts[0::2] == [True] * 3 and not any(verdicts[1::2])
+
+
+# -- verify --cotree of a non-binary tree: the fold's reporting rule ------------
+
+def parent_cotree_line(g, t, c):
+    """Reference: `verify --cotree`'s last line before the fold, from
+    `parent_verify_hc` on the left comb that `to_binary` builds."""
+    b = to_binary(t, "left-comb")
+    verdict = parent_verify_hc(g, b, c, check_tree=False)
+    if verdict.accepted:
+        return "ACCEPT"
+    first = verdict.node
+    while b.children[first]:
+        first = b.children[first][0]
+    names = g.vertex_names()
+    leaves = sorted(names[b.vertex[u]] for u in range(first, verdict.node)
+                    if b.is_leaf(u))
+    s1, s2 = (sorted(s) for s in verdict.sets)
+    return (f"{verdict.axiom} violation at node over {{{','.join(leaves)}}}: "
+            f"color sets {s1} vs {s2}")
+
+
+def cotree_line(tmp_path, g, t, c, capsys):
+    """`verify --cotree`'s output lines for g, t and c, run in process."""
+    names = g.vertex_names()
+    (tmp_path / "g.txt").write_text(write_edge_list(g))
+    (tmp_path / "c.txt").write_text(
+        "".join(f"{names[v]}\t{c[v]}\n" for v in range(g.n)))
+    (tmp_path / "t.nwk").write_text(newick_write(t))
+    code = main(["verify", str(tmp_path / "g.txt"), str(tmp_path / "c.txt"),
+                 "--cotree", str(tmp_path / "t.nwk")])
+    out = capsys.readouterr().out.splitlines()
+    assert code == (0 if out[-1] == "ACCEPT" else 1)
+    assert out[:-1] == ([] if is_binary(t) else [NOTE])
+    return out[-1]
+
+
+NOTE = "note: refined non-binary cotree to binary (left-comb)"
+LINE = re.compile(r"K([23]) violation at node over \{([^}]*)\}: "
+                  r"color sets \[(.*)\] vs \[(.*)\]")
+
+
+def test_verify_cotree_names_a_failing_comb_node_with_none_below(tmp_path,
+                                                                  capsys):
+    # one failing node of the left comb: the line the comb gave. More:
+    # a failing comb node, perhaps another, with no failing node below it
+    rng = random.Random(28)
+    same = moved = 0
+    for seed in range(500):
+        g, t = random_cograph(GenParams(n=rng.randint(2, 30), seed=seed,
+                                        max_arity=rng.randint(3, 5)))
+        k = rng.randint(1, g.n)
+        c = {v: rng.randint(1, k) for v in range(g.n)}
+        b = to_binary(t, "left-comb")
+        failures = postorder_failures(g, b, c)
+        line = cotree_line(tmp_path, g, t, c, capsys)
+        old = parent_cotree_line(g, t, c)
+        if len(failures) <= 1 or is_binary(t):
+            assert line == old
+            continue
+        same += line == old
+        moved += line != old
+        axiom, leaves, s1, s2 = LINE.fullmatch(line).groups()
+        ids = {name: v for v, name in enumerate(g.vertex_names())}
+        mask = sum(1 << ids[name] for name in leaves.split(","))
+        masks = b.leaf_masks()
+        node, = (u for u in range(b.n_nodes())
+                 if masks[u] == mask and not b.is_leaf(u))
+        failure, = (f for f in failures if f.node == node)
+        assert failure.axiom == "K" + axiom
+        assert [str(sorted(s))[1:-1] for s in failure.sets] == [s1, s2]
+        assert not any(masks[f.node] & ~mask == 0 and f.node != node
+                       for f in failures)
+    assert same > 20 and moved > 5
+
+
+def test_verify_cotree_two_failing_comb_nodes_pinned(tmp_path, capsys):
+    # The comb node (a,b) fails K3 and the join (c,d) K2. The left comb
+    # ((a,b)0,(c,d)1)0 meets (a,b) first; the fold meets the whole root
+    # after its children, so (c,d) first.
+    g = Graph(4, [(2, 3)], names=("a", "b", "c", "d"))
+    t = align_to_graph(newick_read("(a,b,(c,d)1)0;"), g)
+    c = {0: 1, 1: 2, 2: 3, 3: 3}
+    assert parent_cotree_line(g, t, c) == (
+        "K3 violation at node over {a,b}: color sets [1] vs [2]")
+    assert cotree_line(tmp_path, g, t, c, capsys) == (
+        "K2 violation at node over {c,d}: color sets [3] vs [3]")
+
+
+def test_verify_cotree_builds_no_comb(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("to_binary called")
+
+    monkeypatch.setattr(cotree_module, "to_binary", refuse)
+    n = 5000
+    (tmp_path / "g.txt").write_text(f"n {n}\n")
+    (tmp_path / "t.nwk").write_text(
+        "(" + ",".join(f"v{v}" for v in range(n)) + ")0;\n")
+    argv = ["verify", str(tmp_path / "g.txt"), str(tmp_path / "c.txt"),
+            "--cotree", str(tmp_path / "t.nwk")]
+    for second, code, line in [
+            (1, 0, "ACCEPT"),
+            (2, 1, "K3 violation at node over {v0,v1}: color sets [1] vs "
+                   "[2]")]:
+        (tmp_path / "c.txt").write_text(
+            "v0\t1\n" + f"v1\t{second}\n"
+            + "".join(f"v{v}\t1\n" for v in range(2, n)))
+        assert main(argv) == code
+        assert capsys.readouterr() == (f"{NOTE}\n{line}\n", "")
