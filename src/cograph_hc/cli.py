@@ -98,6 +98,8 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_cotree(args: argparse.Namespace) -> int:
+    if args.realize and args.binary:
+        raise _CliError("--binary cannot be used with --realize")
     if args.realize:
         try:
             t = ct.newick_read(_read_text(args.graph))
@@ -120,7 +122,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
 
     g = _load_graph(args.graph)
     if args.method == "greedy":
-        if args.order:
+        if args.order is not None:
             ids = gr.VertexIds(g.vertex_names())
             try:
                 order = [ids[tok.strip()] for tok in args.order.split(",")]
@@ -170,7 +172,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{verdict.axiom} violation at node over "
               f"{{{','.join(leaves)}}}: color sets {s1} vs {s2}")
         return 1
-    edge = col._improper_edge(g, c)
+    edge, missing = col._witnesses(g, c)
     if edge is not None:
         u, v = edge
         print("proper=no hc=no greedy=no")
@@ -180,7 +182,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("greedy=no: the coloring is not proper")
         return 1
     hc = col.is_hc_coloring(g, c)
-    missing = col._greedy_witness(g, c)
     yn = {True: "yes", False: "no"}
     print(f"proper=yes hc={yn[hc.accepted]} greedy={yn[missing is None]}")
     if not hc:
@@ -219,7 +220,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise _CliError("--max-n must be >= 1")
     theorems = ([t.strip() for t in args.theorems.split(",")]
-                if args.theorems else None)
+                if args.theorems is not None else None)
     corpus = []
     for n in range(1, args.max_n + 1):
         corpus.extend(exhaustive_cographs(n))

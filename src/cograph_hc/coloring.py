@@ -21,7 +21,7 @@ class Verdict(NamedTuple):
 
     accepted: bool
     node: int | None = None
-    axiom: str | None = None  # "K2", "K3" or "proper"
+    axiom: str | None = None  # "K2" or "K3"
     sets: tuple[frozenset[int], frozenset[int]] | None = None
 
     def __bool__(self) -> bool:
@@ -48,38 +48,51 @@ def _colors(mask: int, palette: list[int]) -> frozenset[int]:
     return frozenset(palette[i] for i in bits(mask))
 
 
-def _classes(g: Graph, c: Coloring) -> tuple[dict[int, int], dict[int, int]]:
-    """Per color, the vertex bitset of its class and of the class's
-    neighbors."""
+def _low(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _witnesses(g: Graph, c: Coloring) -> tuple[tuple[int, int] | None,
+                                               tuple[int, int] | None]:
+    """Why c is not proper, else why no vertex order produces it, from one
+    table of color classes and their neighbor sets: (edge, None), (None,
+    missing) or (None, None).
+
+    edge is (u, v), u < v, both ends in one class, with the smallest such
+    u, then v. missing is (v, i), a vertex v and a color i below v's color
+    that no neighbor of v has. Witness condition: a proper c is greedy iff
+    every vertex with color j has a neighbor of every color 1..j-1; that
+    is, for each color j, every vertex colored above j lies in the
+    neighbor set of class j. With k classes, a color above k means some
+    color i <= k is missing, and then no vertex has a neighbor of color i.
+    The lowest such v is reported, for the largest such i.
+    """
     _check_domain(g, c)
     cls: dict[int, int] = {}
     nbr: dict[int, int] = {}
     for v, col in c.items():
         cls[col] = cls.get(col, 0) | 1 << v
         nbr[col] = nbr.get(col, 0) | g.adj[v]
-    return cls, nbr
-
-
-def _low(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _improper_edge(g: Graph, c: Coloring) -> tuple[int, int] | None:
-    """An edge (u, v), u < v, with both ends in one color class and the
-    smallest such u, or None when c is proper."""
-    cls, nbr = _classes(g, c)
-    bad = 0
-    for k in cls:
-        bad |= cls[k] & nbr[k]
-    if not bad:
-        return None
-    u = _low(bad)
-    return u, _low(g.adj[u] & cls[c[u]])
+    k = len(cls)
+    bad = above = 0
+    for col, members in cls.items():
+        bad |= members & nbr[col]
+        if col > k:
+            above |= members
+    if bad:
+        u = _low(bad)
+        return (u, _low(g.adj[u] & cls[c[u]])), None
+    for j in range(k, 0, -1):
+        bad = above & ~nbr.get(j, 0)
+        if bad:
+            return None, (_low(bad), j)
+        above |= cls.get(j, 0)
+    return None, None
 
 
 def is_proper(g: Graph, c: Coloring) -> bool:
     """True iff no color class meets its own neighbor set."""
-    return _improper_edge(g, c) is None
+    return _witnesses(g, c)[0] is None
 
 
 def greedy_coloring(g: Graph, order: Sequence[int]) -> Coloring:
@@ -108,37 +121,13 @@ def greedy_coloring(g: Graph, order: Sequence[int]) -> Coloring:
     return c
 
 
-def _greedy_witness(g: Graph, c: Coloring) -> tuple[int, int] | None:
-    """Why no vertex order produces c: a vertex v and a color i below v's
-    color that no neighbor of v has, or None when some order produces c.
-
-    Witness condition: c is greedy iff every vertex with color j has a
-    neighbor of every color 1..j-1; that is, for each color j, every vertex
-    colored above j lies in the neighbor set of class j. With k classes, a
-    color above k means some color i <= k is missing, and then no vertex
-    has a neighbor of color i. The lowest such v is reported, for the
-    largest such i.
-    """
-    cls, nbr = _classes(g, c)
-    if any(cls[k] & nbr[k] for k in cls):
-        raise ValueError("not-proper")
-    k = len(cls)
-    above = 0
-    for col, members in cls.items():
-        if col > k:
-            above |= members
-    for j in range(k, 0, -1):
-        bad = above & ~nbr.get(j, 0)
-        if bad:
-            return _low(bad), j
-        above |= cls.get(j, 0)
-    return None
-
-
 def is_greedy(g: Graph, c: Coloring) -> bool:
     """Decide whether some vertex order produces c: every vertex with color
-    j has a neighbor of every color 1..j-1 (see `_greedy_witness`)."""
-    return _greedy_witness(g, c) is None
+    j has a neighbor of every color 1..j-1 (see `_witnesses`)."""
+    edge, missing = _witnesses(g, c)
+    if edge is not None:
+        raise ValueError("not-proper")
+    return missing is None
 
 
 # -- the verdict fold: K2 and K3 on a comb of every inner node ----------------

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from cograph_hc import (GenParams, random_cograph, read_edge_list,
+from cograph_hc import (GenParams, align_to_graph, count_hc_wrt, newick_read,
+                        random_cograph, read_edge_list, to_binary,
                         write_edge_list)
 from cograph_hc.cli import main
 from conftest import caterpillar_spec, tree_of
@@ -66,6 +67,16 @@ def test_cotree_rejects_names_that_cannot_read_back(files, capsys, tmp_path):
     assert not out.exists()
 
 
+def test_cotree_refuses_binary_with_realize(tmp_path, capsys):
+    # refused before any file is read: the input need not exist
+    out = tmp_path / "g.txt"
+    assert main(["cotree", str(tmp_path / "missing.nwk"), "--realize",
+                 "--binary", "left-comb", "-o", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --binary cannot be used with --realize\n")
+    assert not out.exists()
+
+
 def test_realize_writes_an_edge_list_that_reads_back(files, capsys,
                                                     tmp_path):
     out = tmp_path / "g.txt"
@@ -120,6 +131,11 @@ def test_color_bad_order(files, capsys):
     assert main(["color", files("g.txt", GRAPH), "--method", "greedy",
                  "--order", "a,z"]) == 2
     capsys.readouterr()
+    # an empty order names the vertex '', not a random order
+    assert main(["color", files("g2.txt", GRAPH), "--method", "greedy",
+                 "--order", ""]) == 2
+    assert capsys.readouterr() == (
+        "", "error: unknown vertex '' in --order\n")
 
 
 def test_color_order_needs_greedy(files, capsys, tmp_path):
@@ -332,6 +348,12 @@ def test_count(files, capsys):
     assert "labeled_total 8" in out and "N 4 s 2" in out
     assert main(["count", files("k1.txt", "n 1\n")]) == 0
     assert "labeled_total 1" in capsys.readouterr().out
+    # a root with three children: its left comb is counted, with no note
+    disc = "((a,b)1,c,d)0;\n"
+    t = align_to_graph(newick_read(disc), read_edge_list(GRAPH))
+    assert main(["count", g, "--cotree", files("disc.nwk", disc)]) == 0
+    assert capsys.readouterr() == (
+        count_hc_wrt(to_binary(t, "left-comb")).render(), "")
 
 
 class _ClosedPipe(io.StringIO):
@@ -526,6 +548,7 @@ def test_every_subcommand_runs_in_a_fresh_interpreter(tmp_path, monkeypatch,
         (1, "verify", "g.txt", "c1.txt", "--cotree", "b.nwk"),
         (0, "count", "g.txt"),
         (0, "count", "g.txt", "--cotree", "b.nwk"),
+        (0, "count", "g.txt", "--cotree", "t.nwk"),
         (0, "cotree", "t.nwk", "--realize", "-o", "r.txt"),
         (1, "verify", "p4.txt", "p4c.txt"),
         (1, "count", "p4.txt"),
@@ -589,6 +612,11 @@ def test_check_guards(capsys):
     assert main(["check", "--max-n", "3", "--theorems", "T9"]) == 2
     assert capsys.readouterr() == (
         "", "error: unknown theorem id 'T9'\n")
+    # an empty list names the theorem '', not all of them
+    assert main(["check", "--max-n", "3", "--theorems", ""]) == 2
+    assert capsys.readouterr() == ("", "error: unknown theorem id ''\n")
+    assert main(["check", "--max-n", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --max-n must be >= 1\n")
 
 
 def test_gen_roundtrip(tmp_path, capsys):

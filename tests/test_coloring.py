@@ -5,8 +5,8 @@ import time
 import pytest
 
 from cograph_hc import (Cotree, GenParams, Graph, NotACographError,
-                        alg1_color, build_cotree, greedy_coloring, is_greedy,
-                        is_hc_coloring, is_proper, newick_read,
+                        alg1_color, build_cotree, greedy_coloring, is_binary,
+                        is_greedy, is_hc_coloring, is_proper, newick_read,
                         random_cograph, read_coloring, realized_graph,
                         to_binary, verify_hc, write_coloring)
 from cograph_hc import coloring, cotree
@@ -202,6 +202,17 @@ def test_verify_hc_input_validation(k2_k1_k1, coloring_a):
     wrong = align_to_graph(newick_read("((a,b)0,(c,d)0)0;"), k2_k1_k1)
     with pytest.raises(ValueError, match="cotree-graph-mismatch"):
         verify_hc(k2_k1_k1, wrong, coloring_a)
+    # three leaves for four vertices; four leaves, one with vertex id 5
+    three = newick_read("((0,1)1,2)0;")
+    gap = Cotree()
+    acc = gap.add_leaf(0)
+    for v in (1, 2, 5):
+        acc = gap.add_inner(0, [acc, gap.add_leaf(v)])
+    gap.root = acc
+    for t in (three, gap):
+        assert is_binary(t)
+        with pytest.raises(ValueError, match="cotree-graph-mismatch"):
+            verify_hc(k2_k1_k1, t, coloring_a)
 
 
 def test_is_hc_coloring(k2_k1_k1, coloring_a, coloring_b):

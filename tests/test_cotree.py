@@ -279,6 +279,10 @@ def test_add_inner_takes_the_subtrees_finished_last_in_order():
             t.add_inner(1, kids)
     with pytest.raises(ValueError, match="finished last, in order"):
         Cotree().add_inner(1, [-1, -1])
+    with pytest.raises(ValueError, match="inner label must be 0 or 1"):
+        t.add_inner(2, [a, bc])
+    with pytest.raises(ValueError, match="at least 2 children"):
+        t.add_inner(0, [bc])
     assert newick_write(t) == "(v0,(v1,v2)1)0;"
     assert t.postorder() == range(5)
     assert t.leaf_masks() == [0b1, 0b10, 0b100, 0b110, 0b111]

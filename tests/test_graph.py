@@ -14,6 +14,8 @@ P4 = Graph(4, [(0, 1), (1, 2), (2, 3)], names=("a", "b", "c", "d"))
 
 
 def test_construction_rejects_bad_edges():
+    with pytest.raises(ValueError, match="negative vertex count"):
+        Graph(-1)
     with pytest.raises(ValueError):
         Graph(2, [(0, 2)])
     with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from cograph_hc import (GenParams, Graph, InjectionChooser,
 from cograph_hc import cotree as cotree_module
 from cograph_hc.cli import main
 from cograph_hc.coloring import (_check_domain, _color_bits, _colors,
-                                 _greedy_witness, _hc_fold, _improper_edge)
+                                 _hc_fold, _witnesses)
 from cograph_hc.oracle import proper_partitions
 from conftest import (caterpillar_spec, chromatic_number,
                       reference_postorder, tree_of)
@@ -147,14 +147,134 @@ def test_is_proper_and_is_greedy_match_edge_definitions(p, seed, changes):
         greedy = greedy_by_edges(g, c)
         assert is_greedy(g, c) == greedy
         if not greedy:  # the witness `verify` prints for greedy=no
-            v, i = _greedy_witness(g, c)
+            v, i = _witnesses(g, c)[1]
             assert i < c[v]
             assert all(c[u] != i for u in range(g.n) if g.has_edge(u, v))
     else:
-        u, v = _improper_edge(g, c)  # the witness for proper=no
+        u, v = _witnesses(g, c)[0]  # the witness for proper=no
         assert u < v and g.has_edge(u, v) and c[u] == c[v]
         with pytest.raises(ValueError, match="not-proper"):
             is_greedy(g, c)
+
+
+# -- the witness pass against the two passes it replaced -----------------------
+
+def _classes(g, c):
+    """Per color, the vertex bitset of its class and of the class's
+    neighbors."""
+    _check_domain(g, c)
+    cls = {}
+    nbr = {}
+    for v, col in c.items():
+        cls[col] = cls.get(col, 0) | 1 << v
+        nbr[col] = nbr.get(col, 0) | g.adj[v]
+    return cls, nbr
+
+
+def _low(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+def parent_improper_edge(g, c):
+    """Reference: `_improper_edge` before the witness pass. An edge (u, v),
+    u < v, with both ends in one color class and the smallest such u, or
+    None when c is proper."""
+    cls, nbr = _classes(g, c)
+    bad = 0
+    for k in cls:
+        bad |= cls[k] & nbr[k]
+    if not bad:
+        return None
+    u = _low(bad)
+    return u, _low(g.adj[u] & cls[c[u]])
+
+
+def parent_greedy_witness(g, c):
+    """Reference: `_greedy_witness` before the witness pass. A vertex v and
+    a color i below v's color that no neighbor of v has, for the largest
+    such i and then the lowest v, or None when some order produces c."""
+    cls, nbr = _classes(g, c)
+    if any(cls[k] & nbr[k] for k in cls):
+        raise ValueError("not-proper")
+    k = len(cls)
+    above = 0
+    for col, members in cls.items():
+        if col > k:
+            above |= members
+    for j in range(k, 0, -1):
+        bad = above & ~nbr.get(j, 0)
+        if bad:
+            return _low(bad), j
+        above |= cls.get(j, 0)
+    return None
+
+
+def assert_witnesses_as_parent(g, c):
+    """`_witnesses`, `is_proper` and `is_greedy` on one coloring against
+    the references; True iff c is proper."""
+    edge = parent_improper_edge(g, c)
+    if edge is not None:
+        assert _witnesses(g, c) == (edge, None)
+        assert not is_proper(g, c)
+        with pytest.raises(ValueError, match="not-proper"):
+            is_greedy(g, c)
+        return False
+    missing = parent_greedy_witness(g, c)
+    assert _witnesses(g, c) == (None, missing)
+    assert is_proper(g, c)
+    assert is_greedy(g, c) == (missing is None)
+    return True
+
+
+def test_witnesses_match_the_parent_passes_on_every_small_coloring():
+    # every coloring with colors <= 3 of the 535 labeled cographs, n <= 5
+    graphs = colorings = proper = 0
+    for n in range(1, 6):
+        for g in exhaustive_cographs(n):
+            graphs += 1
+            for colors in itertools.product(range(1, 4), repeat=n):
+                colorings += 1
+                proper += assert_witnesses_as_parent(g, dict(enumerate(colors)))
+    assert graphs == 535
+    assert 0 < proper < colorings
+
+
+def test_witnesses_match_the_parent_passes_on_non_cographs():
+    rng = random.Random(29)
+    proper = 0
+    for _ in range(400):
+        n = rng.randint(1, 25)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < 0.3])
+        order = list(range(n))
+        rng.shuffle(order)
+        c = greedy_coloring(g, order)
+        k = max(c.values())
+        for _ in range(rng.randint(0, 3)):
+            c[rng.randrange(n)] = rng.randint(1, k + 1)
+        proper += assert_witnesses_as_parent(g, c)
+        c = {v: rng.randint(1, rng.randint(1, n)) for v in range(n)}
+        proper += assert_witnesses_as_parent(g, c)
+    assert 0 < proper < 800
+
+
+@pytest.mark.parametrize("n", [300, 3000])
+def test_witnesses_match_the_parent_passes_at_large_n(n):
+    g, _ = random_cograph(GenParams(n=n, seed=n))
+    rng = random.Random(n)
+    order = list(range(n))
+    rng.shuffle(order)
+    bases = [greedy_coloring(g, order)]
+    bases.append(alg1_color(g, InjectionChooser("seeded-random", seed=1))[0])
+    outcomes = set()
+    for base in bases:
+        k = max(base.values())
+        for changes in range(4):
+            c = dict(base)
+            for _ in range(changes):
+                c[rng.randrange(n)] = rng.randint(1, k + 1)
+            outcomes.add(assert_witnesses_as_parent(g, c))
+    assert outcomes == {False, True}
 
 
 def test_colors_need_not_be_small_integers():
